@@ -20,9 +20,13 @@
 #      incremental repair cross-checked against from-scratch recoloring
 #      via --paranoid-repair)
 #   7. planning-service smoke (daemon on a temp socket; every backend's
-#      served answer asserted bit-identical to the in-process path, plus
-#      a faulted request through the repair seam)
-#   8. tier-1 tests (which also auto-verify every lowered plan via the
+#      served answer asserted bit-identical to the in-process path, again
+#      under a serial MRR tuning model, plus a faulted request through
+#      the repair seam)
+#   8. end-to-end benchmark harness: its own tests, then a traced smoke
+#      run (catches a renamed entry point or span target before the
+#      benchmark run does)
+#   9. tier-1 tests (which also auto-verify every lowered plan via the
 #      repro.check pytest plugin)
 set -euo pipefail
 
@@ -146,6 +150,10 @@ python -m repro.faults --paranoid-repair
 
 echo "== planning-service smoke =="
 python -m repro.service smoke
+
+echo "== e2e benchmark harness (tests + traced smoke run) =="
+python -m pytest -q benchmarks/e2e
+python3 benchmarks/e2e/run.py --smoke --trace
 
 echo "== tier-1 tests =="
 python -m pytest -x -q "$@"

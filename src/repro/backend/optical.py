@@ -102,26 +102,42 @@ class OpticalBackend(Backend):
             events = tuple(
                 (r.time, r.category, dict(r.payload)) for r in self._tracer
             )
-        return ExecutionResult(
-            backend=self.name,
-            algorithm=run.algorithm,
-            n_steps=run.n_steps,
-            total_time=run.total_time,
-            total_bytes=run.total_bytes,
-            timeline=tuple(
-                StepRecord(
-                    stage=t.stage,
-                    count=t.count,
-                    duration=t.duration,
-                    bytes_per_step=t.bytes_per_step,
-                    n_transfers=t.n_transfers,
-                    rounds=t.rounds,
-                    peak_wavelength=t.peak_wavelength,
-                )
-                for t in run.step_timings
-            ),
-            events=events,
-            cache=run.cache,
+        return _execution_result(
+            run,
             meta={"interpretation": self.config.interpretation},
-            metrics=self.metrics.snapshot() if self.metrics.enabled else None,
+            metrics=self.metrics,
+            events=events,
         )
+
+
+def _execution_result(
+    run, *, meta: dict, metrics: MetricsRegistry, events: tuple = ()
+) -> ExecutionResult:
+    """Reshape one optical run into the uniform result (timings untouched).
+
+    Shared by :meth:`OpticalBackend.execute` and the planning service's
+    repair path, which executes on a degraded network of its own.
+    """
+    return ExecutionResult(
+        backend=OpticalBackend.name,
+        algorithm=run.algorithm,
+        n_steps=run.n_steps,
+        total_time=run.total_time,
+        total_bytes=run.total_bytes,
+        timeline=tuple(
+            StepRecord(
+                stage=t.stage,
+                count=t.count,
+                duration=t.duration,
+                bytes_per_step=t.bytes_per_step,
+                n_transfers=t.n_transfers,
+                rounds=t.rounds,
+                peak_wavelength=t.peak_wavelength,
+            )
+            for t in run.step_timings
+        ),
+        events=events,
+        cache=run.cache,
+        meta=meta,
+        metrics=metrics.snapshot() if metrics.enabled else None,
+    )

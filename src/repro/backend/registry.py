@@ -9,9 +9,12 @@ The three built-in backends register on import:
 - ``"analytic"`` — :class:`~repro.backend.analytic.AnalyticBackend`
   (closed forms, Eq 6 and equivalents).
 
-Adding a backend is one module plus one :func:`register` call — the runner
-and CLI pick it up through :func:`available`/:func:`create` without
-modification.
+Adding a backend is one module plus one :func:`register` call, after which
+:func:`create` builds it and :func:`available` lists it (the CLI's
+``--backend`` choices). Figure cells and service requests are built by
+:meth:`repro.backend.cell.CellSpec.new_backend`, which maps a cell's N,
+w, interpretation and tuning model onto each built-in backend's
+constructor; a new backend needs a branch there to be priced as a cell.
 """
 
 from __future__ import annotations

@@ -90,26 +90,23 @@ def golden_cells(fig: str) -> list[dict]:
 
 def _verify_cell(cell: dict, backend_name: str, interpretation: str) -> list[Finding]:
     """Build, lower and verify one golden cell; returns its findings."""
+    from repro.backend.cell import CellSpec
     from repro.check.context import optical_context
     from repro.check.engine import run_rules, verify_plan
-    from repro.runner.experiments import _build_cell_schedule, get_backend
+    from repro.runner.experiments import get_backend
 
-    class _Elems:
-        """Minimal workload stand-in: a compact exact-chunking vector."""
-
-        def __init__(self, n: int) -> None:
-            self.n_params = 8 * n
-            self.bytes_per_param = 4.0
-
-    backend = get_backend(backend_name, cell["n"], cell["w"], interpretation)
-    schedule = _build_cell_schedule(
-        cell["algo"], cell["n"], cell["w"], _Elems(cell["n"]),
-        wrht_m=cell["wrht_m"], hring_m=cell["hring_m"],
+    # A compact exact-chunking vector: 8 elements per node.
+    spec = CellSpec(
+        cell["algo"], cell["n"], 8 * cell["n"], backend=backend_name,
+        n_wavelengths=cell["w"], interpretation=interpretation,
+        m=cell["wrht_m"], hring_m=cell["hring_m"],
     )
+    backend = get_backend(spec.backend, spec.n_nodes, spec.n_wavelengths, interpretation)
+    schedule = spec.schedule()
     if backend_name == "optical":
         context = optical_context(backend, schedule)
         return run_rules(context)
-    plan = backend.lower(schedule, bytes_per_elem=4.0)
+    plan = backend.lower(schedule, bytes_per_elem=spec.bytes_per_elem)
     return verify_plan(plan, schedule)
 
 

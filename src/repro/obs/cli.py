@@ -9,7 +9,8 @@ write the run manifest (:mod:`repro.obs.manifest`) to a file.
 Unlike the figure runners, this command always builds a **fresh** backend so
 the metrics cover exactly one run, and it keeps the full timeline instead of
 only ``total_time``. The numbers match the figure runners bit for bit —
-both paths call the same ``Backend.run`` on the same schedule.
+both take the cell from :func:`repro.runner.experiments.figure_cell` and
+call ``Backend.run`` on the spec's backend and schedule.
 
 Examples::
 
@@ -43,71 +44,6 @@ _FIGURE_ALGOS = {
     "fig6": ("Ring", "H-Ring", "BT", "WRHT"),
     "fig7": ("E-Ring", "RD", "O-Ring", "WRHT"),
 }
-
-
-def _fresh_backend(name: str, n: int, w: int, interpretation: str,
-                   metrics: MetricsRegistry):
-    """A new backend instance with ``metrics`` bound, plus its config.
-
-    Mirrors :func:`repro.runner.experiments.get_backend` but never reuses
-    the cached instances — a shared backend would accumulate metrics from
-    unrelated runs.
-    """
-    from repro.backend.analytic import AnalyticBackend
-    from repro.backend.electrical import ElectricalBackend
-    from repro.backend.optical import OpticalBackend
-    from repro.electrical.config import ElectricalSystemConfig
-    from repro.optical.config import OpticalSystemConfig
-
-    if name == "optical":
-        config = OpticalSystemConfig(
-            n_nodes=n, n_wavelengths=w, interpretation=interpretation
-        )
-        return OpticalBackend(config, metrics=metrics), config
-    if name == "electrical":
-        config = ElectricalSystemConfig(n_nodes=n, interpretation=interpretation)
-        return ElectricalBackend(config, metrics=metrics), config
-    if name == "analytic":
-        config = OpticalSystemConfig(
-            n_nodes=n, n_wavelengths=w, interpretation=interpretation
-        )
-        return AnalyticBackend(config.cost_model(), w=w, metrics=metrics), config
-    raise ValueError(
-        f"obs cannot construct backend {name!r}; "
-        "supported: optical, electrical, analytic"
-    )
-
-
-def _resolve_cell(args) -> tuple[str, int, int, int | None]:
-    """(base algorithm, n, w, wrht_m) for the requested figure cell."""
-    from repro.core.wavelengths import optimal_group_size
-    from repro.runner.experiments import _FIG7_BASE, DEFAULT_WAVELENGTHS
-
-    x = args.x if args.x is not None else _FIGURE_DEFAULT_X[args.figure]
-    n, w = args.nodes, args.wavelengths
-    if args.figure == "fig4":
-        algo, wrht_m = "WRHT", x
-        w = w if w is not None else DEFAULT_WAVELENGTHS
-    elif args.figure == "fig5":
-        algo, w = args.algo, x
-        wrht_m = min(optimal_group_size(w), n if n is not None else 1024)
-    else:
-        algo, n = args.algo, x
-        w = w if w is not None else DEFAULT_WAVELENGTHS
-        wrht_m = min(optimal_group_size(w), n)
-        if args.figure == "fig7":
-            algo = _FIG7_BASE[args.algo]
-    return algo, (n if n is not None else 1024), w, wrht_m
-
-
-def _backend_name(args) -> str:
-    """The effective backend, honoring fig7's electrical/optical split."""
-    from repro.runner.experiments import _resolve_backend
-
-    simulated = "optical"
-    if args.figure == "fig7" and args.algo in ("E-Ring", "RD"):
-        simulated = "electrical"
-    return _resolve_backend(args.mode, args.backend, simulated=simulated)
 
 
 def _render_timeline(result) -> str:
@@ -210,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     from repro.dnn.workload import workload_by_name
-    from repro.runner.experiments import HRING_M, _build_cell_schedule
+    from repro.runner.experiments import figure_cell
 
     args = build_parser().parse_args(argv)
     if args.algo not in _FIGURE_ALGOS[args.figure]:
@@ -221,21 +157,22 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
     workload = workload_by_name(args.workload)
-    algo, n, w, wrht_m = _resolve_cell(args)
-    metrics = NULL_METRICS if args.no_metrics else MetricsRegistry()
-    backend, config = _fresh_backend(
-        _backend_name(args), n, w, args.interpretation, metrics
-    )
-    schedule = _build_cell_schedule(
-        algo, n, w, workload, wrht_m=wrht_m, hring_m=HRING_M
-    )
-    result = backend.run(schedule, bytes_per_elem=workload.bytes_per_param)
-
     x = args.x if args.x is not None else _FIGURE_DEFAULT_X[args.figure]
+    fixed = {"n_nodes": args.nodes, "n_wavelengths": args.wavelengths}
+    spec = figure_cell(
+        args.figure, x, args.algo, workload,
+        mode=args.mode, interpretation=args.interpretation, backend=args.backend,
+        **{name: value for name, value in fixed.items() if value is not None},
+    )
+    metrics = NULL_METRICS if args.no_metrics else MetricsRegistry()
+    backend = spec.new_backend(metrics=metrics)
+    result = backend.run(spec.schedule(), bytes_per_elem=spec.bytes_per_elem)
+
     print(
         f"{args.figure} cell: {args.algo} on {workload.name}, "
         f"{_FIGURE_X_LABEL[args.figure]}={x} "
-        f"(N={n}, w={w}, backend={result.backend}, mode={args.mode})"
+        f"(N={spec.n_nodes}, w={spec.n_wavelengths}, "
+        f"backend={result.backend}, mode={args.mode})"
     )
     print(
         f"total: {result.total_time:.6e} s over {result.n_steps} step(s), "
@@ -249,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.manifest:
         manifest = build_run_manifest(
             result,
-            config=config,
+            config=spec.config(),
             extra={
                 "figure": args.figure,
                 "algo": args.algo,

@@ -598,11 +598,11 @@ class OpticalRingNetwork:
     ) -> "OpticalRingNetwork":
         """A degraded executor that repairs this network's cached solutions.
 
-        The returned network shares this one's plan cache and metrics; its
-        plan-cache keys are salted by the *fault diff* against this
-        network's config (see ``delta_salted_key``), and every pattern this
-        network has a kept solution for is incrementally repaired instead
-        of re-solved. Patterns never seen here fall back to full RWA
+        The returned network shares this one's plan cache, metrics and
+        tuning-overlap mode; its plan-cache keys are salted by the *fault
+        diff* against this network's config (see ``delta_salted_key``), and
+        every pattern this network has a kept solution for is incrementally
+        repaired instead of re-solved. Patterns never seen here fall back to full RWA
         (counted under ``rwa.repair_miss``).
 
         Args:
@@ -629,6 +629,7 @@ class OpticalRingNetwork:
             keep_solutions=True,
             repair_from=self,
             paranoid_repair=paranoid,
+            overlap=self.overlap,
         )
 
     def repair_plan(

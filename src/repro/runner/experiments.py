@@ -13,6 +13,10 @@ The two modes agree to float precision for the full-vector algorithms and
 within the profile chunk-rounding for the ring-based ones — asserted in the
 test suite, so "analytical" is a trustworthy fast path for the full
 paper-scale sweeps.
+
+Each grid point is a :class:`~repro.backend.cell.CellSpec` from
+:func:`figure_cell`, priced in-process or by the planning daemon
+(``service=``) with the same answer either way.
 """
 
 from __future__ import annotations
@@ -21,11 +25,10 @@ import functools
 
 from repro.backend import registry
 from repro.backend.base import Backend
+from repro.backend.cell import CellSpec
 from repro.collectives.registry import build_schedule
 from repro.core.wavelengths import optimal_group_size
 from repro.dnn.workload import PAPER_WORKLOADS, DnnWorkload
-from repro.electrical.config import ElectricalSystemConfig
-from repro.optical.config import OpticalSystemConfig
 from repro.runner.report import ExperimentResult
 from repro.runner.sweep import sweep
 
@@ -50,12 +53,12 @@ def _check_mode(mode: str) -> None:
 _BACKENDS: dict[tuple, Backend] = {}
 
 
-def _resolve_backend(mode: str, backend: str | None, simulated: str = "optical") -> str:
+def _resolve_backend(mode: str, backend: str | None) -> str:
     """The effective backend name for one experiment cell.
 
     An explicit ``backend`` wins; otherwise ``mode`` keeps its historical
     meaning — ``"analytical"`` prices with the closed forms, ``"simulated"``
-    with the substrate executor named by ``simulated``.
+    on the optical ring.
     """
     if backend is not None:
         if backend not in registry.available():
@@ -63,7 +66,15 @@ def _resolve_backend(mode: str, backend: str | None, simulated: str = "optical")
                 f"unknown backend {backend!r}; available: {registry.available()}"
             )
         return backend
-    return "analytic" if mode == "analytical" else simulated
+    return "analytic" if mode == "analytical" else "optical"
+
+
+def _cached_backend(spec: CellSpec) -> Backend:
+    """The process's backend instance for ``spec``'s backend fields."""
+    be = _BACKENDS.get(spec.backend_key)
+    if be is None:
+        be = _BACKENDS[spec.backend_key] = spec.new_backend()
+    return be
 
 
 def get_backend(
@@ -77,54 +88,16 @@ def get_backend(
     are reused across experiment calls; :func:`clear_network_caches` drops
     them. ``t_tune``/``overlap`` configure the MRR reconfiguration model
     (:mod:`repro.optical.reconfig`); the defaults leave it disabled, so
-    every historical cell stays bit-identical.
+    every historical cell stays bit-identical. The instance comes from
+    :meth:`CellSpec.new_backend`, which never reads the spec's schedule
+    fields, so those are placeholders here.
     """
-    key = (name, n, w, interpretation, t_tune, overlap)
-    be = _BACKENDS.get(key)
-    if be is not None:
-        return be
-    if name == "optical":
-        be = registry.create(
-            "optical",
-            config=OpticalSystemConfig(
-                n_nodes=n, n_wavelengths=w, interpretation=interpretation,
-                t_tune=t_tune,
-            ),
-            overlap=overlap,
+    return _cached_backend(
+        CellSpec(
+            "Ring", n, n, backend=name, n_wavelengths=w,
+            interpretation=interpretation, t_tune=t_tune, overlap=overlap,
         )
-    elif name == "electrical":
-        be = registry.create(
-            "electrical",
-            config=ElectricalSystemConfig(n_nodes=n, interpretation=interpretation),
-        )
-    elif name == "analytic":
-        from repro.optical.reconfig import ReconfigModel
-
-        cfg = OpticalSystemConfig(
-            n_nodes=n, n_wavelengths=w, interpretation=interpretation
-        )
-        be = registry.create(
-            "analytic", model=cfg.cost_model(), w=w,
-            reconfig=ReconfigModel(t_tune=t_tune), overlap=overlap,
-        )
-    else:
-        raise ValueError(
-            f"the experiment runner cannot construct backend {name!r}; "
-            "supported: optical, electrical, analytic"
-        )
-    _BACKENDS[key] = be
-    return be
-
-
-def _build_cell_schedule(algo: str, n: int, w: int, workload: DnnWorkload, *,
-                         wrht_m: int | None, hring_m: int):
-    """The schedule for one experiment cell (never materialized)."""
-    kwargs: dict = {"materialize": False}
-    if algo == "WRHT":
-        kwargs.update(n_wavelengths=w, m=wrht_m)
-    elif algo == "H-Ring":
-        kwargs.update(m=hring_m)
-    return build_schedule(algo, n, workload.n_params, **kwargs)
+    )
 
 
 # Daemon clients are cached per socket path per process: sweep workers each
@@ -143,77 +116,19 @@ def _service_client(service: str):
     return client
 
 
-def _service_time(
-    service: str,
-    backend: str,
-    algo: str,
-    n: int,
-    w: int,
-    workload: DnnWorkload,
-    interpretation: str,
-    wrht_m: int | None,
-    hring_m: int,
-) -> float:
-    """One cell served by the planning daemon (bit-identical by contract)."""
-    return _service_client(service).total_time(
-        algo, n, workload.n_params,
-        backend=backend,
-        n_wavelengths=w,
-        interpretation=interpretation,
-        bytes_per_elem=workload.bytes_per_param,
-        m=wrht_m,
-        hring_m=hring_m,
-    )
+def _cell_seconds(spec: CellSpec, service: str | None = None) -> float:
+    """Seconds for one cell: in-process, or served by the daemon at
+    ``service`` (bit-identical by contract).
 
-
-def _optical_time(
-    algo: str,
-    n: int,
-    w: int,
-    workload: DnnWorkload,
-    mode: str,
-    interpretation: str,
-    wrht_m: int | None = None,
-    hring_m: int = HRING_M,
-    backend: str | None = None,
-    service: str | None = None,
-    t_tune: float = 0.0,
-    overlap: bool = True,
-) -> float:
-    """Seconds for one algorithm on the mode- or flag-selected backend."""
-    name = _resolve_backend(mode, backend)
+    Module-level so it pickles into ``sweep(workers=N)`` processes.
+    """
     if service is not None:
-        if t_tune > 0:
-            raise ValueError(
-                "--t-tune is evaluated in-process; the planning daemon "
-                "protocol does not carry a reconfiguration model"
-            )
-        return _service_time(
-            service, name, algo, n, w, workload, interpretation, wrht_m, hring_m
-        )
-    be = get_backend(name, n, w, interpretation, t_tune, overlap)
-    schedule = _build_cell_schedule(
-        algo, n, w, workload, wrht_m=wrht_m, hring_m=hring_m
-    )
-    return be.run(schedule, bytes_per_elem=workload.bytes_per_param).total_time
+        from repro.service.api import PlanRequest
 
-
-def _electrical_time(
-    algo: str,
-    n: int,
-    workload: DnnWorkload,
-    interpretation: str,
-    service: str | None = None,
-) -> float:
-    """Seconds for one algorithm on the electrical fat-tree (simulated)."""
-    if service is not None:
-        return _service_time(
-            service, "electrical", algo, n, DEFAULT_WAVELENGTHS, workload,
-            interpretation, None, HRING_M,
-        )
-    be = get_backend("electrical", n, DEFAULT_WAVELENGTHS, interpretation)
-    schedule = build_schedule(algo, n, workload.n_params, materialize=False)
-    return be.run(schedule, bytes_per_elem=workload.bytes_per_param).total_time
+        request = PlanRequest(**vars(spec))
+        return _service_client(service).submit(request).result.total_time
+    backend = _cached_backend(spec)
+    return backend.run(spec.schedule(), bytes_per_elem=spec.bytes_per_elem).total_time
 
 
 def clear_network_caches() -> None:
@@ -226,78 +141,68 @@ def clear_network_caches() -> None:
     _BACKENDS.clear()
 
 
-# -- sweep cell functions ---------------------------------------------------
-# Module-level so they pickle into ProcessPoolExecutor workers; the run_figN
-# entry points bind the figure-constant knobs with functools.partial.
-
-
-def _fig4_cell(
-    workload: DnnWorkload, m: int, mode: str, interpretation: str,
-    n_nodes: int, n_wavelengths: int, backend: str | None = None,
-    service: str | None = None, t_tune: float = 0.0, overlap: bool = True,
-) -> float:
-    """One Fig 4 grid cell: WRHT at group size ``m`` on one workload."""
-    return _optical_time(
-        "WRHT", n_nodes, n_wavelengths, workload, mode, interpretation,
-        wrht_m=m, backend=backend, service=service, t_tune=t_tune,
-        overlap=overlap,
-    )
-
-
-def _fig5_cell(
-    workload: DnnWorkload, algo: str, w: int, mode: str, interpretation: str,
-    n_nodes: int, backend: str | None = None, service: str | None = None,
-    t_tune: float = 0.0, overlap: bool = True,
-) -> float:
-    """One Fig 5 grid cell: ``algo`` under wavelength count ``w``."""
-    return _optical_time(
-        algo, n_nodes, w, workload, mode, interpretation,
-        wrht_m=min(optimal_group_size(w), n_nodes), backend=backend,
-        service=service, t_tune=t_tune, overlap=overlap,
-    )
-
-
-def _fig6_cell(
-    workload: DnnWorkload, algo: str, n: int, mode: str, interpretation: str,
-    n_wavelengths: int, backend: str | None = None, service: str | None = None,
-    t_tune: float = 0.0, overlap: bool = True,
-) -> float:
-    """One Fig 6 grid cell: ``algo`` at cluster size ``n``."""
-    return _optical_time(
-        algo, n, n_wavelengths, workload, mode, interpretation, backend=backend,
-        service=service, t_tune=t_tune, overlap=overlap,
-    )
-
-
 # Fig 7's display names map to base algorithms per substrate.
 _FIG7_BASE = {"E-Ring": "Ring", "O-Ring": "Ring", "RD": "RD", "WRHT": "WRHT"}
 
 
-def _fig7_cell(
-    workload: DnnWorkload, algo: str, n: int, mode: str, interpretation: str,
-    n_wavelengths: int, backend: str | None = None, service: str | None = None,
-    t_tune: float = 0.0, overlap: bool = True,
-) -> float:
-    """One Fig 7 grid cell: electrical or optical flavor by algorithm.
+def figure_cell(
+    figure: str,
+    x: int,
+    algo: str,
+    workload: DnnWorkload,
+    *,
+    mode: str = "analytical",
+    interpretation: str = "calibrated",
+    n_nodes: int = 1024,
+    n_wavelengths: int = DEFAULT_WAVELENGTHS,
+    backend: str | None = None,
+    t_tune: float = 0.0,
+    overlap: bool = True,
+) -> CellSpec:
+    """The :class:`CellSpec` one figure prices at x value ``x`` for ``algo``.
 
-    An explicit ``backend`` forces every flavor through that backend
-    (useful for like-for-like ablations); the default keeps the paper's
-    split — E-Ring/RD on the fat-tree, O-Ring/WRHT on the optical ring.
-    The tuning tax only applies to the optical flavors: the fat-tree has
-    no MRRs, which is exactly the comparison Fig 7 makes.
+    ``x`` is the figure's axis: Fig 4 the WRHT group size m, Fig 5 the
+    wavelength count w, Figs 6/7 the node count N. ``n_nodes`` and
+    ``n_wavelengths`` fix whichever of N and w is not the axis. ``mode``
+    and ``backend`` pick the backend as :func:`run_fig4` … :func:`run_fig7`
+    do: Fig 5 sets WRHT's m by Lemma 1, and Fig 7 prices E-Ring/RD on the
+    electrical fat-tree, which pays no tuning, unless ``backend`` forces
+    every flavor through one backend.
     """
-    base = _FIG7_BASE[algo]
-    if backend is not None:
-        return _optical_time(
-            base, n, n_wavelengths, workload, mode, interpretation,
-            backend=backend, service=service, t_tune=t_tune, overlap=overlap,
-        )
-    if algo in ("E-Ring", "RD"):
-        return _electrical_time(base, n, workload, interpretation, service=service)
-    return _optical_time(
-        base, n, n_wavelengths, workload, mode, interpretation, service=service,
+    name = _resolve_backend(mode, backend)
+    m = None
+    if figure == "fig4":
+        m = x
+    elif figure == "fig5":
+        n_wavelengths, m = x, min(optimal_group_size(x), n_nodes)
+    elif figure == "fig6":
+        n_nodes = x
+    elif figure == "fig7":
+        n_nodes = x
+        if backend is None and algo in ("E-Ring", "RD"):
+            name, n_wavelengths, t_tune, overlap = (
+                "electrical", DEFAULT_WAVELENGTHS, 0.0, True
+            )
+        algo = _FIG7_BASE[algo]
+    else:
+        raise ValueError(f"unknown figure {figure!r}; expected fig4..fig7")
+    return CellSpec(
+        algo, n_nodes, workload.n_params, backend=name,
+        n_wavelengths=n_wavelengths, interpretation=interpretation,
+        bytes_per_elem=workload.bytes_per_param, m=m, hring_m=HRING_M,
         t_tune=t_tune, overlap=overlap,
     )
+
+
+def _price_cells(cells: dict, service: str | None, workers: int | None) -> dict:
+    """Seconds per cell of ``{key: CellSpec}``, in ``cells`` order, swept
+    serially or over ``workers`` processes."""
+    grid = sweep(
+        functools.partial(_cell_seconds, service=service),
+        {"spec": list(cells.values())},
+        workers=workers,
+    )
+    return {key: grid[(spec,)] for key, spec in cells.items()}
 
 
 def run_table1(
@@ -364,13 +269,16 @@ def run_fig4(
         workloads=[wl.name for wl in workloads],
     )
     cell = functools.partial(
-        _fig4_cell, mode=mode, interpretation=interpretation,
+        figure_cell, "fig4", mode=mode, interpretation=interpretation,
         n_nodes=n_nodes, n_wavelengths=n_wavelengths, backend=backend,
-        service=service, t_tune=t_tune, overlap=overlap,
+        t_tune=t_tune, overlap=overlap,
     )
-    grid = sweep(cell, {"workload": workloads, "m": group_sizes}, workers=workers)
+    seconds = _price_cells(
+        {(wl, m): cell(m, "WRHT", wl) for wl in workloads for m in group_sizes},
+        service, workers,
+    )
     for wl in workloads:
-        result.series[(wl.name, "WRHT")] = [grid[(wl, m)] for m in group_sizes]
+        result.series[(wl.name, "WRHT")] = [seconds[(wl, m)] for m in group_sizes]
     result.meta["reference"] = ("WRHT", group_sizes[-1])
     return result
 
@@ -403,17 +311,20 @@ def run_fig5(
     )
     algos = ("Ring", "H-Ring", "BT", "WRHT")
     cell = functools.partial(
-        _fig5_cell, mode=mode, interpretation=interpretation, n_nodes=n_nodes,
-        backend=backend, service=service, t_tune=t_tune, overlap=overlap,
+        figure_cell, "fig5", mode=mode, interpretation=interpretation,
+        n_nodes=n_nodes, backend=backend, t_tune=t_tune, overlap=overlap,
     )
-    grid = sweep(
-        cell, {"workload": workloads, "algo": algos, "w": wavelengths},
-        workers=workers,
+    seconds = _price_cells(
+        {
+            (wl, algo, w): cell(w, algo, wl)
+            for wl in workloads for algo in algos for w in wavelengths
+        },
+        service, workers,
     )
     for wl in workloads:
         for algo in algos:
             result.series[(wl.name, algo)] = [
-                grid[(wl, algo, w)] for w in wavelengths
+                seconds[(wl, algo, w)] for w in wavelengths
             ]
     result.meta["reference"] = ("ResNet50", "WRHT", wavelengths[-1])
     return result
@@ -444,16 +355,20 @@ def run_fig6(
     )
     algos = ("Ring", "H-Ring", "BT", "WRHT")
     cell = functools.partial(
-        _fig6_cell, mode=mode, interpretation=interpretation,
-        n_wavelengths=n_wavelengths, backend=backend, service=service,
-        t_tune=t_tune, overlap=overlap,
+        figure_cell, "fig6", mode=mode, interpretation=interpretation,
+        n_wavelengths=n_wavelengths, backend=backend, t_tune=t_tune,
+        overlap=overlap,
     )
-    grid = sweep(
-        cell, {"workload": workloads, "algo": algos, "n": nodes}, workers=workers
+    seconds = _price_cells(
+        {
+            (wl, algo, n): cell(n, algo, wl)
+            for wl in workloads for algo in algos for n in nodes
+        },
+        service, workers,
     )
     for wl in workloads:
         for algo in algos:
-            result.series[(wl.name, algo)] = [grid[(wl, algo, n)] for n in nodes]
+            result.series[(wl.name, algo)] = [seconds[(wl, algo, n)] for n in nodes]
     result.meta["reference"] = ("ResNet50", "WRHT", nodes[0])
     return result
 
@@ -485,15 +400,19 @@ def run_fig7(
     )
     algos = ("E-Ring", "RD", "O-Ring", "WRHT")
     cell = functools.partial(
-        _fig7_cell, mode=mode, interpretation=interpretation,
-        n_wavelengths=n_wavelengths, backend=backend, service=service,
-        t_tune=t_tune, overlap=overlap,
+        figure_cell, "fig7", mode=mode, interpretation=interpretation,
+        n_wavelengths=n_wavelengths, backend=backend, t_tune=t_tune,
+        overlap=overlap,
     )
-    grid = sweep(
-        cell, {"workload": workloads, "algo": algos, "n": nodes}, workers=workers
+    seconds = _price_cells(
+        {
+            (wl, algo, n): cell(n, algo, wl)
+            for wl in workloads for algo in algos for n in nodes
+        },
+        service, workers,
     )
     for wl in workloads:
         for algo in algos:
-            result.series[(wl.name, algo)] = [grid[(wl, algo, n)] for n in nodes]
+            result.series[(wl.name, algo)] = [seconds[(wl, algo, n)] for n in nodes]
     result.meta["reference"] = ("ResNet50", "WRHT", nodes[0])
     return result

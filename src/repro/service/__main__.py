@@ -3,8 +3,10 @@
 ``python -m repro.service serve`` runs a daemon in the foreground;
 ``python -m repro.service smoke`` is the self-contained CI check: it
 starts a daemon on a temporary socket, serves one fig-4 cell per backend
-through it, and asserts every answer is bit-identical to the in-process
-evaluation of the same request (exit 0 on success, 1 on any divergence).
+through it, the optical and analytic cells again under a serial MRR
+tuning model, and one faulted optical cell through the repair path, and
+asserts every answer is bit-identical to the in-process evaluation of the
+same request (exit 0 on success, 1 on any divergence).
 
 Both are also reachable through the main CLI: ``wrht-repro serve
 --socket PATH`` (bare flags imply the ``serve`` subcommand) and
@@ -63,7 +65,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def run_smoke(*, n_nodes: int = 64, n_wavelengths: int = 8, verbose: bool = True) -> int:
-    """Daemon-vs-in-process bit-identity on one fig-4 cell per backend.
+    """Daemon-vs-in-process bit-identity on one fig-4 cell per backend,
+    tuned optical/analytic variants and a repair-served faulted cell.
 
     Returns a process exit code (0: every backend identical; 1: any
     divergence or service failure).
@@ -91,42 +94,44 @@ def run_smoke(*, n_nodes: int = 64, n_wavelengths: int = 8, verbose: bool = True
             # One fig-4 cell (WRHT at a fixed group size), scaled down so
             # the smoke stays fast; m follows Lemma 1 for the budget.
             group_size = min(optimal_group_size(n_wavelengths), n_nodes)
+            cell = {"n_wavelengths": n_wavelengths, "m": group_size}
+            tuned = {"t_tune": 25e-6, "overlap": False}
+            requests = [
+                *(
+                    PlanRequest("WRHT", n_nodes, 1_000_000, backend=b, **cell)
+                    for b in ("optical", "electrical", "analytic")
+                ),
+                *(
+                    PlanRequest("WRHT", n_nodes, 1_000_000, backend=b, **cell, **tuned)
+                    for b in ("optical", "analytic")
+                ),
+                PlanRequest(
+                    "WRHT", n_nodes, 1_000_000, **cell,
+                    faults=(("dead_wavelength", 1),),
+                ),
+            ]
             with PlanClient(sock_path, timeout=120.0) as remote, PlanClient() as local:
-                for backend in ("optical", "electrical", "analytic"):
-                    request = PlanRequest(
-                        "WRHT", n_nodes, 1_000_000,
-                        backend=backend, n_wavelengths=n_wavelengths,
-                        m=group_size,
-                    )
+                for request in requests:
                     served = remote.submit(request)
                     direct = local.submit(request)
                     same = comparable_dict(served.result) == comparable_dict(
                         direct.result
                     )
+                    if request.faults and not served.result.meta.get("repair"):
+                        same = False  # faulted cells must be repair-served
                     if verbose:
                         marker = "ok " if same else "DIFF"
+                        label = f"backend={request.backend}"
+                        if request.t_tune:
+                            label += f" t_tune={request.t_tune} overlap={request.overlap}"
+                        if request.faults:
+                            label += f" repair n_faults={len(request.faults)}"
                         print(
-                            f"service smoke: [{marker}] backend={backend} "
+                            f"service smoke: [{marker}] {label} "
                             f"total_time={served.result.total_time!r}"
                         )
                     if not same:
                         failures += 1
-                # The faulted path must also answer (repair-served).
-                faulted = remote.submit(
-                    PlanRequest(
-                        "WRHT", n_nodes, 1_000_000,
-                        n_wavelengths=n_wavelengths, m=group_size,
-                        faults=(("dead_wavelength", 1),),
-                    )
-                )
-                if not faulted.result.meta.get("repair"):
-                    print("service smoke: FAIL (faulted cell not repair-served)")
-                    failures += 1
-                elif verbose:
-                    print(
-                        "service smoke: [ok ] faulted cell repair-served "
-                        f"(n_faults={faulted.result.meta['n_faults']})"
-                    )
                 remote.shutdown()
         finally:
             thread.join(timeout=10.0)

@@ -1,17 +1,17 @@
 """Request model and evaluation engine shared by client and daemon.
 
-A :class:`PlanRequest` names one plan-service cell — tenant, backend,
-collective, topology size, wavelength budget, payload and fault set — in a
-JSON-safe, hashable form. :class:`PlanEngine` evaluates requests exactly
-the way the experiment runners do: it mirrors
-:func:`repro.runner.experiments.get_backend` /
-``_build_cell_schedule`` construction so an in-process evaluation is
-bit-identical to calling ``Backend.run`` directly, which is what makes the
-daemon's answers auditable against the goldens.
+A :class:`PlanRequest` is the wire encoding of one
+:class:`~repro.backend.cell.CellSpec` — backend, collective, topology
+size, wavelength budget, payload, MRR tuning model and fault set — plus
+the caller's tenant, in a JSON-safe, hashable form. :class:`PlanEngine`
+builds backends and schedules through the spec's own factories, the same
+ones the experiment runners use, so an in-process evaluation is
+bit-identical to the figure runners' ``Backend.run``, which is what makes
+the daemon's answers auditable against the goldens.
 
 Faulted optical requests do **not** re-lower from scratch: the engine
-keeps one healthy base network per ``(N, w, interpretation)`` with
-``keep_solutions=True`` and serves the degraded cell through the PR-6
+keeps one healthy base network per healthy config and overlap mode with
+``keep_solutions=True`` and serves the degraded cell through the
 incremental-repair path (:meth:`OpticalRingNetwork.repair_plan`), whose
 plan-cache entries carry delta-salted keys.
 
@@ -24,11 +24,11 @@ plan cache itself uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
-from repro.backend.base import Backend, ExecutionResult, StepRecord
-from repro.backend.errors import BackendError
+from repro.backend.base import Backend, ExecutionResult
+from repro.backend.cell import CellSpec
 from repro.backend.plancache import (
     PlanCache,
     default_plan_cache,
@@ -50,12 +50,10 @@ from repro.service.errors import ServiceRequestError
 #: Algorithms a request may name (the experiment display names).
 ALGORITHMS = ("Ring", "H-Ring", "BT", "RD", "WRHT", "Swing", "SCRing")
 
-_DEFAULT_HRING_M = 5
-
 
 # -- fault wire codec ---------------------------------------------------
-# Faults travel as plain tuples so a PlanRequest stays hashable and JSON
-# round-trips losslessly (JSON lists are re-tupled on decode).
+# Faults travel as plain tuples so a PlanRequest JSON round-trips
+# losslessly (JSON lists are accepted on decode).
 
 _FAULT_KINDS = {
     "dead_wavelength": DeadWavelength,
@@ -64,6 +62,8 @@ _FAULT_KINDS = {
     "dropped_node": DroppedNode,
     "power_droop": PowerDroop,
 }
+
+_FAULT_TYPES = tuple(_FAULT_KINDS.values())
 
 
 def fault_to_wire(fault: Fault) -> tuple:
@@ -102,113 +102,98 @@ def faults_to_wire(faults: FaultSet) -> tuple[tuple, ...]:
     return tuple(fault_to_wire(f) for f in faults)
 
 
+def _same(value: Any) -> Any:
+    return value
+
+
+def _optional_int(value: Any) -> int | None:
+    return None if value is None else int(value)
+
+
+#: Wire decoders by field annotation: JSON numbers become the field's type
+#: (``from_dict`` tolerates ``4`` for a float, ``16.0`` for an int).
+_DECODE = {"int": int, "float": float, "str": str, "int | None": _optional_int}
+
+#: The spec fields behind a request's coalescing fingerprint.
+_KEY_FIELDS = tuple(
+    f.name for f in fields(CellSpec) if f.name not in ("backend", "faults")
+)
+
+
 @dataclass(frozen=True)
-class PlanRequest:
-    """One plan-service request (hashable, JSON round-trip safe).
+class PlanRequest(CellSpec):
+    """One plan-service request: a :class:`CellSpec` plus its tenant.
+
+    Hashable and JSON round-trip safe. ``faults`` may be given as
+    :func:`fault_to_wire` tuples (or their JSON lists) or as fault objects;
+    either way it normalizes into a :class:`FaultSet`. Every other field
+    is the spec's (see :class:`~repro.backend.cell.CellSpec`).
 
     Attributes:
-        algorithm: Collective display name (see :data:`ALGORITHMS`).
-        n_nodes: Topology size N.
-        n_params: Payload elements to all-reduce.
-        backend: Pricing backend name (``optical``/``electrical``/
-            ``analytic``).
-        n_wavelengths: Wavelength budget w (optical/analytic).
-        interpretation: Line-rate units (``calibrated``/``strict``).
-        bytes_per_elem: Element width in bytes.
-        m: WRHT group size (``None``: Lemma-1 optimal).
-        hring_m: H-Ring group size.
         tenant: Caller identity for quotas and per-tenant metrics; never
             part of the coalescing key.
-        faults: Wire-encoded fault tuples (see :func:`fault_to_wire`),
-            normalized into :class:`FaultSet` order.
     """
 
-    algorithm: str
-    n_nodes: int
-    n_params: int
-    backend: str = "optical"
-    n_wavelengths: int = 64
-    interpretation: str = "calibrated"
-    bytes_per_elem: float = 4.0
-    m: int | None = None
-    hring_m: int = _DEFAULT_HRING_M
     tenant: str = "default"
-    faults: tuple[tuple, ...] = ()
 
     def __post_init__(self) -> None:
-        # Normalize the wire tuples through FaultSet so equal fault sets
-        # written in any order produce equal requests (and coalesce keys).
-        decoded = FaultSet(tuple(fault_from_wire(f) for f in self.faults))
-        object.__setattr__(self, "faults", faults_to_wire(decoded))
-
-    def fault_set(self) -> FaultSet:
-        """The decoded :class:`FaultSet` this request asks to plan under."""
-        return FaultSet(tuple(fault_from_wire(f) for f in self.faults))
+        # Decode wire entries; CellSpec then normalizes into FaultSet order,
+        # so equal fault sets written in any order make equal requests.
+        object.__setattr__(
+            self,
+            "faults",
+            tuple(
+                f if isinstance(f, _FAULT_TYPES) else fault_from_wire(f)
+                for f in self.faults
+            ),
+        )
+        super().__post_init__()
 
     def coalesce_key(self) -> tuple:
         """The identity under which identical requests share one lowering.
 
-        ``(backend, config fingerprint)`` for healthy requests; faulted
-        ones are delta-salted with the fault tuple, mirroring how their
-        plan-cache entries are keyed — so a faulted and a healthy request
-        for the same cell can never coalesce with each other.
+        ``(backend, fingerprint of every other spec field)`` for healthy
+        requests; faulted ones are delta-salted with the fault tuple,
+        mirroring how their plan-cache entries are keyed — so a faulted
+        and a healthy request for the same cell can never coalesce with
+        each other.
         """
         base = (
             self.backend,
-            fingerprint(
-                (
-                    self.algorithm,
-                    self.n_nodes,
-                    self.n_params,
-                    self.n_wavelengths,
-                    self.interpretation,
-                    self.bytes_per_elem,
-                    self.m,
-                    self.hring_m,
-                )
-            ),
+            fingerprint(tuple(getattr(self, name) for name in _KEY_FIELDS)),
         )
         if self.faults:
-            return delta_salted_key(base, self.faults)
+            return delta_salted_key(base, faults_to_wire(self.faults))
         return base
 
     def to_dict(self) -> dict:
         """JSON-ready dict (inverse of :meth:`from_dict`)."""
-        return {
-            "algorithm": self.algorithm,
-            "n_nodes": self.n_nodes,
-            "n_params": self.n_params,
-            "backend": self.backend,
-            "n_wavelengths": self.n_wavelengths,
-            "interpretation": self.interpretation,
-            "bytes_per_elem": self.bytes_per_elem,
-            "m": self.m,
-            "hring_m": self.hring_m,
-            "tenant": self.tenant,
-            "faults": [list(f) for f in self.faults],
-        }
+        data = {name: getattr(self, name) for name, _ in _WIRE}
+        data["faults"] = [list(f) for f in faults_to_wire(self.faults)]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlanRequest":
-        """Rebuild from :meth:`to_dict` output (tolerates JSON lists)."""
+        """Rebuild from :meth:`to_dict` output (tolerates JSON lists).
+
+        Absent optional fields take their defaults.
+
+        Raises:
+            ServiceRequestError: Not an object, a required field missing,
+                or a field of the wrong type or out of range.
+        """
         if not isinstance(data, dict):
             raise ServiceRequestError(f"plan request must be an object, got {data!r}")
         try:
-            return cls(
-                algorithm=data["algorithm"],
-                n_nodes=int(data["n_nodes"]),
-                n_params=int(data["n_params"]),
-                backend=data.get("backend", "optical"),
-                n_wavelengths=int(data.get("n_wavelengths", 64)),
-                interpretation=data.get("interpretation", "calibrated"),
-                bytes_per_elem=float(data.get("bytes_per_elem", 4.0)),
-                m=None if data.get("m") is None else int(data["m"]),
-                hring_m=int(data.get("hring_m", _DEFAULT_HRING_M)),
-                tenant=str(data.get("tenant", "default")),
-                faults=tuple(tuple(f) for f in data.get("faults", ())),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(**{
+                name: decode(data[name]) for name, decode in _WIRE if name in data
+            })
+        except (TypeError, ValueError) as exc:
             raise ServiceRequestError(f"malformed plan request: {exc}") from exc
+
+
+#: ``(field name, wire decoder)`` for every request field, in order.
+_WIRE = tuple((f.name, _DECODE.get(f.type, _same)) for f in fields(PlanRequest))
 
 
 def comparable_dict(result: ExecutionResult) -> dict:
@@ -229,10 +214,10 @@ class PlanEngine:
     """Evaluates :class:`PlanRequest` cells on shared backend state.
 
     One engine instance is the unit both the in-process client and the
-    daemon share: it owns the backend instances (mirroring
-    :func:`repro.runner.experiments.get_backend` construction so results
-    are bit-identical to the figure runners), the optical repair bases,
-    and the plan cache every lowering goes through.
+    daemon share: it owns the backend instances (built by
+    :meth:`CellSpec.new_backend`, so results are bit-identical to the
+    figure runners), the optical repair bases, and the plan cache every
+    lowering goes through.
 
     Args:
         plan_cache: Cache behind every ``lower()`` (default: the
@@ -252,90 +237,10 @@ class PlanEngine:
         self._backends: dict[tuple, Backend] = {}
         self._repair_bases: dict[tuple, Any] = {}
 
-    # -- construction mirrors ------------------------------------------
-    def _backend_for(self, request: PlanRequest) -> Backend:
-        """A cached backend instance for the request's healthy config."""
-        from repro.backend import registry
-
-        key = (
-            request.backend,
-            request.n_nodes,
-            request.n_wavelengths,
-            request.interpretation,
-        )
-        backend = self._backends.get(key)
-        if backend is not None:
-            return backend
-        if request.backend == "optical":
-            from repro.optical.config import OpticalSystemConfig
-
-            backend = registry.create(
-                "optical",
-                config=OpticalSystemConfig(
-                    n_nodes=request.n_nodes,
-                    n_wavelengths=request.n_wavelengths,
-                    interpretation=request.interpretation,
-                ),
-                plan_cache=self.plan_cache,
-            )
-        elif request.backend == "electrical":
-            from repro.electrical.config import ElectricalSystemConfig
-
-            backend = registry.create(
-                "electrical",
-                config=ElectricalSystemConfig(
-                    n_nodes=request.n_nodes,
-                    interpretation=request.interpretation,
-                ),
-                plan_cache=self.plan_cache,
-            )
-        elif request.backend == "analytic":
-            from repro.optical.config import OpticalSystemConfig
-
-            cfg = OpticalSystemConfig(
-                n_nodes=request.n_nodes,
-                n_wavelengths=request.n_wavelengths,
-                interpretation=request.interpretation,
-            )
-            backend = registry.create(
-                "analytic",
-                model=cfg.cost_model(),
-                w=request.n_wavelengths,
-                plan_cache=self.plan_cache,
-            )
-        else:
-            raise ServiceRequestError(
-                f"unknown backend {request.backend!r}; "
-                f"available: {registry.available()}"
-            )
-        self._backends[key] = backend
-        return backend
-
-    def _schedule_for(self, request: PlanRequest):
-        """The request's schedule (never materialized), runner-identical."""
-        from repro.collectives.registry import build_schedule
-
-        if request.algorithm not in ALGORITHMS:
-            raise ServiceRequestError(
-                f"unknown algorithm {request.algorithm!r}; known: {ALGORITHMS}"
-            )
-        kwargs: dict = {"materialize": False}
-        if request.algorithm == "WRHT":
-            kwargs.update(n_wavelengths=request.n_wavelengths, m=request.m)
-        elif request.algorithm == "H-Ring":
-            kwargs.update(m=request.hring_m)
-        try:
-            return build_schedule(
-                request.algorithm, request.n_nodes, request.n_params, **kwargs
-            )
-        except (KeyError, ValueError) as exc:
-            raise ServiceRequestError(f"unbuildable schedule: {exc}") from exc
-
-    # -- evaluation -----------------------------------------------------
     def evaluate(self, request: PlanRequest) -> ExecutionResult:
         """Lower and execute one request (the service's whole data plane).
 
-        Healthy requests run ``Backend.run`` on the mirrored backend —
+        Healthy requests run ``Backend.run`` on the spec's backend —
         bit-identical to the figure runners. Faulted optical requests
         route through the incremental-repair path; faulted requests on
         other backends are rejected (the repair engine is optical-only).
@@ -344,7 +249,14 @@ class PlanEngine:
             ServiceRequestError: Malformed/unservable request.
             BackendError: Lowering or execution failed.
         """
-        schedule = self._schedule_for(request)
+        if request.algorithm not in ALGORITHMS:
+            raise ServiceRequestError(
+                f"unknown algorithm {request.algorithm!r}; known: {ALGORITHMS}"
+            )
+        try:
+            schedule = request.schedule()
+        except (KeyError, ValueError) as exc:
+            raise ServiceRequestError(f"unbuildable schedule: {exc}") from exc
         if request.faults:
             if request.backend != "optical":
                 raise ServiceRequestError(
@@ -352,30 +264,15 @@ class PlanEngine:
                     f"path; backend {request.backend!r} does not support them"
                 )
             return self._evaluate_repaired(request, schedule)
-        backend = self._backend_for(request)
+        backend = self._backends.get(request.backend_key)
+        if backend is None:
+            try:
+                backend = request.new_backend(plan_cache=self.plan_cache)
+            except ValueError as exc:
+                raise ServiceRequestError(str(exc)) from exc
+            self._backends[request.backend_key] = backend
         with self.metrics.span("service.evaluate"):
             return backend.run(schedule, bytes_per_elem=request.bytes_per_elem)
-
-    def _repair_base(self, request: PlanRequest):
-        """The healthy keep-solutions network repairs are derived from."""
-        from repro.optical.config import OpticalSystemConfig
-        from repro.optical.network import OpticalRingNetwork
-
-        key = (request.n_nodes, request.n_wavelengths, request.interpretation)
-        base = self._repair_bases.get(key)
-        if base is None:
-            base = OpticalRingNetwork(
-                OpticalSystemConfig(
-                    n_nodes=request.n_nodes,
-                    n_wavelengths=request.n_wavelengths,
-                    interpretation=request.interpretation,
-                ),
-                plan_cache=self.plan_cache,
-                metrics=self.metrics,
-                keep_solutions=True,
-            )
-            self._repair_bases[key] = base
-        return base
 
     def _evaluate_repaired(self, request: PlanRequest, schedule) -> ExecutionResult:
         """Serve a faulted optical cell via incremental repair.
@@ -385,47 +282,37 @@ class PlanEngine:
         a repair: only the delta-affected subgraph recolors, and the
         repaired summaries land in the plan cache under delta-salted keys.
         """
-        faults = request.fault_set()
+        from repro.backend.optical import _execution_result
+        from repro.optical.network import OpticalRingNetwork
+
         try:
-            faults.validate(request.n_nodes, request.n_wavelengths)
+            config = request.config()
         except ValueError as exc:
-            raise ServiceRequestError(f"invalid fault set: {exc}") from exc
-        base = self._repair_base(request)
+            raise ServiceRequestError(f"invalid faulted cell: {exc}") from exc
+        healthy = replace(config, faults=FaultSet())
+        base = self._repair_bases.get((healthy, request.overlap))
+        if base is None:
+            base = self._repair_bases[(healthy, request.overlap)] = OpticalRingNetwork(
+                healthy,
+                plan_cache=self.plan_cache,
+                metrics=self.metrics,
+                keep_solutions=True,
+                overlap=request.overlap,
+            )
         with self.metrics.span("service.evaluate"):
             base.lower(schedule, request.bytes_per_elem)
-            try:
-                plan, degraded = base.repair_plan(
-                    schedule, faults, bytes_per_elem=request.bytes_per_elem
-                )
-            except BackendError:
-                raise
+            plan, degraded = base.repair_plan(
+                schedule, config.faults, bytes_per_elem=request.bytes_per_elem
+            )
             run = degraded.execute_plan(plan)
-        # Reshape exactly as OpticalBackend.execute does, plus repair meta.
-        return ExecutionResult(
-            backend="optical",
-            algorithm=run.algorithm,
-            n_steps=run.n_steps,
-            total_time=run.total_time,
-            total_bytes=run.total_bytes,
-            timeline=tuple(
-                StepRecord(
-                    stage=t.stage,
-                    count=t.count,
-                    duration=t.duration,
-                    bytes_per_step=t.bytes_per_step,
-                    n_transfers=t.n_transfers,
-                    rounds=t.rounds,
-                    peak_wavelength=t.peak_wavelength,
-                )
-                for t in run.step_timings
-            ),
-            cache=run.cache,
+        return _execution_result(
+            run,
             meta={
                 "interpretation": request.interpretation,
                 "repair": True,
-                "n_faults": len(faults),
+                "n_faults": len(config.faults),
             },
-            metrics=self.metrics.snapshot() if self.metrics.enabled else None,
+            metrics=self.metrics,
         )
 
     def flush(self) -> None:

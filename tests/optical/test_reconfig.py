@@ -23,11 +23,12 @@ from hypothesis import strategies as st
 
 from repro.backend.errors import BackendError
 from repro.backend.optical import OpticalBackend
+from repro.backend.plancache import PlanCache
 from repro.check.context import optical_context
 from repro.check.engine import verify_plan
 from repro.check.findings import errors
 from repro.collectives.registry import build_schedule
-from repro.faults.models import DeadWavelength, FaultEvent
+from repro.faults.models import DeadWavelength, FaultEvent, FaultSet
 from repro.optical.config import OpticalSystemConfig
 from repro.optical.livesim import LiveOpticalSimulation
 from repro.optical.network import OpticalRingNetwork
@@ -299,6 +300,30 @@ class TestChoosePlan:
         plan = OpticalBackend(cfg).lower(build_schedule("swing", 8, 4096))
         assert plan.meta["reconfig"]["decision"]["chosen"] in (
             "hold", "reconfigure", "hold-infeasible"
+        )
+
+
+class TestRepairKeepsOverlapMode:
+    """A repaired network prices tuning in its base network's overlap mode."""
+
+    @pytest.mark.parametrize("algo", ["swing", "rd"])
+    def test_serial_repair_equals_serial_from_scratch(self, algo):
+        faults = FaultSet.of(DeadWavelength(1))
+        sched = build_schedule(algo, 8, 4096)
+        base = _net(
+            8, 8, t_tune=25e-6, overlap=False, keep_solutions=True,
+            plan_cache=PlanCache(),
+        )
+        base.lower(sched)
+        plan, degraded = base.repair_plan(sched, faults)
+        assert plan.meta["reconfig"]["overlap"] is False
+        scratch = OpticalRingNetwork(
+            dataclasses.replace(base.config, faults=faults),
+            overlap=False, plan_cache=PlanCache(),
+        )
+        assert (
+            degraded.execute_plan(plan).total_time
+            == scratch.execute_plan(scratch.lower(sched)).total_time
         )
 
 

@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.backend.analytic import AnalyticBackend
+from repro.backend.electrical import ElectricalBackend
+from repro.backend.optical import OpticalBackend
 from repro.backend.plancache import PlanCache
-from repro.dnn.workload import DnnWorkload
+from repro.collectives.registry import build_schedule
+from repro.electrical.config import ElectricalSystemConfig
 from repro.faults.models import DeadWavelength, FaultSet
-from repro.runner.experiments import (
-    _build_cell_schedule,
-    get_backend,
-)
+from repro.optical.config import OpticalSystemConfig
+from repro.optical.reconfig import ReconfigModel
 from repro.service.api import (
     ALGORITHMS,
     PlanEngine,
@@ -81,9 +83,40 @@ class TestPlanRequest:
         with pytest.raises(ServiceRequestError):
             PlanRequest.from_dict("not an object")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t_tune", -1), ("overlap", "yes"), ("overlap", 1), ("overlap", None)],
+    )
+    def test_bad_tuning_fields_rejected(self, field, value):
+        data = {**PlanRequest("Ring", 8, 100).to_dict(), field: value}
+        with pytest.raises(ServiceRequestError):
+            PlanRequest.from_dict(data)
+
+    def test_dict_without_tuning_fields_decodes_as_before(self):
+        data = PlanRequest("WRHT", 16, 4096, n_wavelengths=8).to_dict()
+        del data["t_tune"], data["overlap"]
+        req = PlanRequest.from_dict(data)
+        assert req.t_tune == 0.0 and req.overlap is True
+        assert req == PlanRequest("WRHT", 16, 4096, n_wavelengths=8)
+
+    def test_json_numbers_take_the_field_type(self):
+        data = {
+            **PlanRequest("WRHT", 16, 4096, m=5).to_dict(),
+            "n_nodes": 16.0, "m": 5.0, "bytes_per_elem": 4, "t_tune": 0,
+        }
+        req = PlanRequest.from_dict(data)
+        assert req == PlanRequest("WRHT", 16, 4096, m=5)
+        assert (type(req.n_nodes), type(req.m), type(req.bytes_per_elem)) == (
+            int, int, float
+        )
+
+    def test_tuning_round_trips(self):
+        req = PlanRequest("Swing", 8, 100, t_tune=25e-6, overlap=False)
+        assert PlanRequest.from_dict(req.to_dict()) == req
+
     def test_fault_set_decodes(self):
         req = PlanRequest("Ring", 8, 100, faults=(("dead_wavelength", 2),))
-        assert req.fault_set() == FaultSet((DeadWavelength(2),))
+        assert req.faults == FaultSet((DeadWavelength(2),))
 
 
 class TestCoalesceKey:
@@ -107,6 +140,18 @@ class TestCoalesceKey:
             != PlanRequest("WRHT", 16, 4096, backend="analytic").coalesce_key()
         )
 
+    def test_tuning_splits_the_key(self):
+        a = PlanRequest("WRHT", 16, 4096, t_tune=25e-6)
+        assert a.coalesce_key() != PlanRequest("WRHT", 16, 4096).coalesce_key()
+        assert (
+            a.coalesce_key()
+            != PlanRequest("WRHT", 16, 4096, t_tune=10e-6).coalesce_key()
+        )
+        assert (
+            a.coalesce_key()
+            != PlanRequest("WRHT", 16, 4096, t_tune=25e-6, overlap=False).coalesce_key()
+        )
+
     def test_faults_delta_salt_the_key(self):
         healthy = PlanRequest("WRHT", 16, 4096, n_wavelengths=8)
         faulted = PlanRequest(
@@ -118,6 +163,32 @@ class TestCoalesceKey:
         assert faulted.coalesce_key()[1] == healthy.coalesce_key()
 
 
+def _direct_run(backend, algorithm, n, w, n_params, t_tune=0.0, overlap=True):
+    """The cell priced the way a figure runner prices it, built straight
+    from the backend class and ``build_schedule`` (not through CellSpec)."""
+    cache = PlanCache()
+    if backend == "optical":
+        be = OpticalBackend(
+            OpticalSystemConfig(n_nodes=n, n_wavelengths=w, t_tune=t_tune),
+            overlap=overlap, plan_cache=cache,
+        )
+    elif backend == "electrical":
+        be = ElectricalBackend(ElectricalSystemConfig(n_nodes=n), plan_cache=cache)
+    else:
+        model = OpticalSystemConfig(n_nodes=n, n_wavelengths=w).cost_model()
+        be = AnalyticBackend(
+            model, w=w, reconfig=ReconfigModel(t_tune=t_tune), overlap=overlap,
+            plan_cache=cache,
+        )
+    kwargs: dict = {"materialize": False}
+    if algorithm == "WRHT":
+        kwargs.update(n_wavelengths=w, m=None)
+    elif algorithm == "H-Ring":
+        kwargs.update(m=5)
+    schedule = build_schedule(algorithm, n, n_params, **kwargs)
+    return comparable_dict(be.run(schedule, bytes_per_elem=4))
+
+
 class TestPlanEngine:
     @pytest.mark.parametrize("backend", ["optical", "electrical", "analytic"])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -126,15 +197,26 @@ class TestPlanEngine:
         engine = PlanEngine(plan_cache=PlanCache())
         request = PlanRequest(algorithm, 8, 4096, backend=backend, n_wavelengths=8)
         mine = comparable_dict(engine.evaluate(request))
-        workload = DnnWorkload("cell", 4096)
-        be = get_backend(backend, 8, 8, "calibrated")
-        schedule = _build_cell_schedule(
-            algorithm, 8, 8, workload, wrht_m=None, hring_m=5
+        assert mine == _direct_run(backend, algorithm, 8, 8, 4096)
+
+    # The untuned case is test_parity_with_runner_path.
+    @pytest.mark.parametrize(
+        "t_tune, overlap", [(25e-6, True), (25e-6, False)],
+        ids=["tuned-overlap", "tuned-serial"],
+    )
+    @pytest.mark.parametrize("backend", ["optical", "analytic"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_parity_with_runner_path_under_tuning(
+        self, backend, algorithm, t_tune, overlap
+    ):
+        """The MRR tuning model reaches the engine's backends intact."""
+        engine = PlanEngine(plan_cache=PlanCache())
+        request = PlanRequest(
+            algorithm, 8, 4096, backend=backend, n_wavelengths=8,
+            t_tune=t_tune, overlap=overlap,
         )
-        theirs = comparable_dict(
-            be.run(schedule, bytes_per_elem=workload.bytes_per_param)
-        )
-        assert mine == theirs
+        mine = comparable_dict(engine.evaluate(request))
+        assert mine == _direct_run(backend, algorithm, 8, 8, 4096, t_tune, overlap)
 
     def test_result_json_round_trips_exactly(self):
         import json
@@ -159,6 +241,18 @@ class TestPlanEngine:
         assert result.meta["repair"] is True
         assert result.meta["n_faults"] == 1
         assert result.total_time > 0
+
+    def test_faulted_tuned_repair_keeps_serial_tuning(self):
+        """A serial-tuning faulted cell is repaired with overlap off."""
+        engine = PlanEngine(plan_cache=PlanCache())
+        tuned = PlanRequest(
+            "Swing", 8, 4096, n_wavelengths=8, t_tune=25e-6,
+            faults=(("dead_wavelength", 1),),
+        )
+        serial = engine.evaluate(PlanRequest(**{**vars(tuned), "overlap": False}))
+        overlapped = engine.evaluate(tuned)
+        assert serial.meta["repair"] is True
+        assert serial.total_time > overlapped.total_time
 
     def test_faulted_non_optical_rejected(self):
         engine = PlanEngine(plan_cache=PlanCache())

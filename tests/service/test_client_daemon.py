@@ -9,6 +9,8 @@ import time
 import pytest
 
 from repro.backend.plancache import PlanCache
+from repro.runner import experiments
+from repro.runner.experiments import run_fig5
 from repro.service.api import PlanEngine, PlanRequest, comparable_dict
 from repro.service.client import PlanClient
 from repro.service.daemon import PlanningService
@@ -95,6 +97,25 @@ class TestBitIdentity:
             store_stats = service.engine.plan_cache.store.stats
         assert comparable_dict(first.result) == comparable_dict(second.result)
         assert store_stats.hits > 0  # second run priced nothing from scratch
+
+
+class TestRunnerThroughDaemon:
+    def test_tuned_figure_served_bit_identical(self, tmp_path):
+        """``run_fig5(service=...)`` carries the MRR tuning model."""
+        cell = {
+            "mode": "simulated", "n_nodes": 16, "wavelengths": (8,),
+            "t_tune": 25e-6, "overlap": False,
+        }
+        local = run_fig5(**cell).series
+        with running_service(tmp_path) as (_service, sock_path):
+            try:
+                served = run_fig5(**cell, service=sock_path).series
+            finally:
+                experiments._CLIENTS.pop(sock_path).close()
+        assert served == local
+        # Tuning moves every algorithm here, so a dropped t_tune would show.
+        untuned = run_fig5(mode="simulated", n_nodes=16, wavelengths=(8,)).series
+        assert all(served[key] != untuned[key] for key in served)
 
 
 class TestCoalescing:
@@ -228,6 +249,21 @@ class TestControlPlane:
             with PlanClient(sock_path, timeout=10.0) as client:
                 with pytest.raises(ServiceRequestError):
                     client.submit(PlanRequest("Butterfly", 16, 4096))
+
+    @pytest.mark.parametrize("field, value", [("t_tune", -1), ("overlap", "no")])
+    def test_bad_tuning_field_answered_bad_request(self, tmp_path, field, value):
+        data = {**PlanRequest("WRHT", 16, 4096).to_dict(), field: value}
+        with running_service(tmp_path) as (_service, sock_path):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(10.0)
+            sock.connect(sock_path)
+            try:
+                send_frame(sock, {"op": "plan", "request": data})
+                response = recv_frame(sock)
+            finally:
+                sock.close()
+        assert response["ok"] is False
+        assert response["kind"] == "bad-request"
 
     def test_unknown_op_answered_not_dropped(self, tmp_path):
         with running_service(tmp_path) as (_service, sock_path):
