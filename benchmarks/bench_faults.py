@@ -27,6 +27,7 @@ from pathlib import Path
 from repro.backend.plancache import PlanCache
 from repro.collectives import build_wrht_schedule
 from repro.faults.models import FaultSet
+from repro.obs.benchgate import BenchSchema, Section
 from repro.optical.config import OpticalSystemConfig
 from repro.optical.network import OpticalRingNetwork
 from repro.runner.faultsweep import default_fault_scenarios, run_fault_sweep
@@ -54,6 +55,15 @@ def _run_availability():
         }
         for c in cells
     ]
+
+
+#: The availability sweep is deterministic; an availability number whose
+#: plan failed static verification is worthless, so ``n_errors`` must be 0.
+GATE = BenchSchema(OUT_PATH.name, lambda: {"scenarios": _run_availability()}, (
+    Section("scenarios", ("scenario", "backend"), "faults.{scenario}.{backend}",
+            zero=("n_errors",), exact=("n_survivors",),
+            rel=("healthy_s", "degraded_s", "slowdown_pct", "availability")),
+))
 
 
 def _time_warm_lower(config):

@@ -1,8 +1,7 @@
 """Reconfiguration-overlap bake-off: tuning exposure with and without overlap.
 
 One deterministic grid, written to ``BENCH_reconfig.json`` at the repo root
-and gated by ``scripts/bench_gate.py`` via
-:func:`repro.obs.benchgate.compare_reconfig`:
+and gated by ``scripts/bench_gate.py`` as ``GATE`` declares:
 
 - **Optical rows** price each (algorithm, N, payload) cell three ways under
   a 25 µs MRR tuning model (:mod:`repro.optical.reconfig`): tuning charged
@@ -36,6 +35,7 @@ from repro.check.findings import errors
 from repro.collectives import build_schedule
 from repro.core.timing import CostModel
 from repro.electrical.config import ElectricalSystemConfig
+from repro.obs.benchgate import BenchSchema, Section
 from repro.optical.config import OpticalSystemConfig
 from repro.optical.network import OpticalRingNetwork
 from repro.optical.reconfig import ReconfigModel, plan_total_time
@@ -158,6 +158,26 @@ def _run_reconfig() -> list[dict]:
                     }
                 )
     return rows
+
+
+def _overlap_wins(rows: list[dict]) -> bool:
+    """Overlap strictly beats serial tuning on some optical row (if any)."""
+    optical = [r for r in rows if r["backend"] == "optical"]
+    return not optical or any(r["overlap_s"] < r["no_overlap_s"] for r in optical)
+
+
+#: An overlapped plan that fails PLAN008 is a correctness bug, so
+#: ``n_errors`` must be 0; ``overlap_wins`` fails a planner that silently
+#: stopped overlapping even against a regenerated baseline.
+GATE = BenchSchema(OUT_PATH.name, lambda: {"reconfig": _run_reconfig()}, (
+    Section("reconfig", ("algorithm", "backend", "n_nodes", "elems"),
+            "reconfig.{algorithm}.{backend}.n{n_nodes}.e{elems}",
+            zero=("n_errors",), exact=("decision",),
+            rel=("no_overlap_s", "overlap_s", "chosen_s", "hold_s"),
+            invariants=(("reconfig.overlap_wins",
+                         "at least one optical cell with overlap_s < no_overlap_s",
+                         _overlap_wins),)),
+))
 
 
 def test_reconfig_overlap(once):

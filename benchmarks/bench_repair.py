@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 
 from repro.collectives.alltoall import build_alltoall_step
+from repro.obs.benchgate import BenchSchema, Section
 from repro.obs.metrics import MetricsRegistry
 from repro.optical.config import OpticalSystemConfig
 from repro.optical.network import OpticalRingNetwork
@@ -102,6 +103,14 @@ def _timed(fn):
 
 def _run_repair_micro():
     return [_time_single_fault(n) for n in NODES]
+
+
+#: An instance that falls back to the full recolor no longer measures the
+#: repair path, so ``fallbacks`` must stay 0.
+GATE = BenchSchema(OUT_PATH.name, lambda: {"repair": _run_repair_micro()}, (
+    Section("repair", ("case", "n"), "repair.{case}.n{n}",
+            zero=("fallbacks",), exact=("transfers",), floor=("speedup",)),
+))
 
 
 def test_single_fault_repair_speedup(once):

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.benchgate import BenchSchema, Section
 from repro.service.api import ALGORITHMS, PlanRequest
 from repro.service.client import PlanClient
 from repro.service.daemon import PlanningService
@@ -131,6 +132,13 @@ def _run_service_micro() -> list[dict]:
             "p99_ms": ordered[int(0.99 * (len(ordered) - 1))] * 1e3,
         }
     ]
+
+
+GATE = BenchSchema(OUT_PATH.name, lambda: {"service": _run_service_micro()}, (
+    Section("service", ("case",), "service.{case}",
+            exact=("tenants", "requests", "distinct_cells"),
+            floor=("rps",), absolute=(("rps_absolute", "rps", MIN_RPS),)),
+))
 
 
 @pytest.mark.skipif(

@@ -11,21 +11,14 @@ Submodules:
 - :mod:`repro.obs.metrics` — the registry, snapshots, bucket edges.
 - :mod:`repro.obs.manifest` — JSON run manifests (config/fault hashes,
   git SHA, metrics) for reproducibility audits and CI artifacts.
-- :mod:`repro.obs.benchgate` — baseline comparison logic behind
-  ``scripts/bench_gate.py``.
+- :mod:`repro.obs.benchgate` — the schema-driven baseline comparison
+  behind ``scripts/bench_gate.py``. Import it from the submodule: it is
+  not re-exported here, so runtime imports of ``repro.obs`` do not load it.
 - :mod:`repro.obs.cli` — ``wrht-repro obs`` / ``python -m repro.obs``:
   run one figure cell with metrics on, render the per-step
   timing/utilization table, optionally write a manifest.
 """
 
-from repro.obs.benchgate import (
-    DEFAULT_PERF_FLOOR,
-    DEFAULT_SIM_REL_TOL,
-    GateReport,
-    GateViolation,
-    compare_faults,
-    compare_rwa,
-)
 from repro.obs.manifest import (
     SCHEMA,
     build_run_manifest,
@@ -43,18 +36,12 @@ from repro.obs.metrics import (
 
 __all__ = [
     "COUNT_EDGES",
-    "DEFAULT_PERF_FLOOR",
-    "DEFAULT_SIM_REL_TOL",
     "DURATION_EDGES",
-    "GateReport",
-    "GateViolation",
     "MetricsRegistry",
     "MetricsSnapshot",
     "NULL_METRICS",
     "SCHEMA",
     "build_run_manifest",
-    "compare_faults",
-    "compare_rwa",
     "fingerprint",
     "git_sha",
     "write_run_manifest",

@@ -1,35 +1,31 @@
 """Benchmark-regression gate: compare fresh measurements to baselines.
 
-The committed ``BENCH_rwa.json``/``BENCH_faults.json`` baselines were
-write-only artifacts: a perf or correctness regression changed the numbers
-the next time someone happened to re-run the benches, and nothing noticed.
-This module turns them into an enforced trajectory — ``scripts/bench_gate.py``
-re-measures a pinned subset of bench cells and the comparison logic here
-decides pass/fail. CI runs the script as its own job.
+``scripts/bench_gate.py`` re-measures the pinned cells of every gated
+bench and :func:`compare` decides pass/fail against the committed
+``BENCH_*.json``. Each gated ``benchmarks/bench_*.py`` declares a
+:class:`BenchSchema` next to the code that writes its JSON; one
+:class:`Section` per row list says how rows are keyed and labelled and
+how each field is compared, matched to what the number *is*:
 
-Two comparison regimes, matched to what each number *is*:
+- **Deterministic simulated values** (availability, degraded seconds,
+  survivor and transfer counts) are pure functions of the inputs, so they
+  are compared exactly or at a tight relative tolerance
+  (:data:`DEFAULT_SIM_REL_TOL`); any drift means the model changed.
+- **Wall-clock numbers** (RWA and repair speedups, service req/s) are
+  host-noisy, so they only have to stay above ``perf_floor`` × baseline
+  (:data:`DEFAULT_PERF_FLOOR`: only a 4× regression fails), plus any
+  absolute floor.
 
-- **Deterministic simulated values** (fault-sweep availability, slowdown,
-  degraded seconds, survivor counts, RWA transfer counts) are pure
-  functions of the inputs — identical on every machine. They are compared
-  with a tight relative tolerance (:data:`DEFAULT_SIM_REL_TOL`); any drift
-  means the model's behavior changed.
-- **Wall-clock performance floors** (RWA kernel and incremental-repair
-  speedups, ``BENCH_repair.json``; planning-service throughput,
-  ``BENCH_service.json``) are host-noisy,
-  so the gate only enforces a floor: the measured speedup must stay above
-  ``baseline_speedup × perf_floor`` (:data:`DEFAULT_PERF_FLOOR`, i.e. a
-  4× perf regression fails with the default 0.25). Measurements should be
-  best-of-N to tame scheduler noise (the script does best-of-3). The
-  service row additionally carries an absolute req/s floor.
-
-A metric present in the current measurement but missing from the baseline
-is itself a violation (``missing-baseline``): silently ungated metrics are
-how trajectories rot.
+Rows match on their key in both directions: a measured row absent from
+the baseline fails each baseline-relative field (``missing-baseline``) —
+silently ungated metrics are how trajectories rot — and a baseline row
+that a fully re-measured section no longer produces fails once
+(``missing-current``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 DEFAULT_SIM_REL_TOL = 1e-6
@@ -43,8 +39,8 @@ class GateViolation:
     Attributes:
         metric: Dotted metric label (``"faults.cut-fiber.optical.availability"``).
         kind: ``"rel"`` (deterministic drift), ``"floor"`` (perf floor
-            breached), ``"exact"`` (integer mismatch) or
-            ``"missing-baseline"``.
+            breached), ``"exact"`` (integer mismatch),
+            ``"missing-baseline"`` or ``"missing-current"``.
         current: Freshly measured value (``None`` for missing metrics).
         baseline: Committed value (``None`` when absent from the baseline).
         allowed: Human-readable bound that was violated.
@@ -170,289 +166,143 @@ def _check_floor(
         )
 
 
-def compare_rwa(
-    current_rows: list[dict],
-    baseline: dict | None,
-    *,
-    perf_floor: float = DEFAULT_PERF_FLOOR,
-) -> GateReport:
-    """Gate re-measured RWA micro rows against a ``BENCH_rwa.json`` dict.
+@dataclass(frozen=True)
+class Section:
+    """How one row list of a ``BENCH_*.json`` is gated.
 
-    Per (case, n) row: the transfer count must match exactly (a structural
-    change to the step shapes is a regression in its own right) and the
-    speedup must stay above the perf floor.
+    Per measured row the checks run in field order: ``zero`` (must be 0,
+    baseline row or not), ``exact``, ``rel`` (within ``rel_tol``),
+    ``floor`` (at least ``perf_floor`` × baseline), then ``absolute``
+    ``(metric suffix, field, minimum)`` floors that ignore the baseline. A
+    ``None`` in a ``rel`` field marks a quantity with no feasible plan
+    (reconfig's ``hold_s``): with a baseline row, None-ness must match.
+    Each ``invariants`` entry ``(metric, allowed, predicate)`` must hold
+    over the measured rows whatever the baseline says, so regenerating
+    the baseline cannot hide a broken mechanism; it fails as a ``floor``
+    violation (0 qualifying rows where 1 is required).
+
+    Attributes:
+        name: The row list's key in the JSON (``"curves"``).
+        key: Row-key fields; measured and baseline rows match on them.
+        label: Metric-label format over a row (``"rwa.{case}.n{n}"``).
+        complete: The gate's measure re-runs every baseline row, so a
+            baseline row without a measured row is ``missing-current``.
     """
-    report = GateReport()
-    if baseline is None:
-        baseline = {}
-    base_rows = {
-        (row["case"], row["n"]): row for row in baseline.get("micro", [])
-    }
-    for row in current_rows:
-        key = (row["case"], row["n"])
-        label = f"rwa.{row['case']}.n{row['n']}"
-        base = base_rows.get(key)
-        _check_exact(
-            report, f"{label}.transfers", row["transfers"],
-            None if base is None else base.get("transfers"),
-        )
-        _check_floor(
-            report, f"{label}.speedup", row["speedup"],
-            None if base is None else base.get("speedup"), perf_floor,
-        )
-    return report
+
+    name: str
+    key: tuple[str, ...]
+    label: str
+    zero: tuple[str, ...] = ()
+    exact: tuple[str, ...] = ()
+    rel: tuple[str, ...] = ()
+    floor: tuple[str, ...] = ()
+    absolute: tuple[tuple[str, str, float], ...] = ()
+    invariants: tuple[tuple[str, str, Callable[[list[dict]], bool]], ...] = ()
+    complete: bool = True
+    rel_tol: float = DEFAULT_SIM_REL_TOL
+    perf_floor: float = DEFAULT_PERF_FLOOR
+
+    def key_of(self, row: dict) -> tuple:
+        """The row's key tuple."""
+        return tuple(row[k] for k in self.key)
 
 
-def compare_repair(
-    current_rows: list[dict],
-    baseline: dict | None,
-    *,
-    perf_floor: float = DEFAULT_PERF_FLOOR,
-) -> GateReport:
-    """Gate re-measured repair micro rows against a ``BENCH_repair.json`` dict.
+@dataclass(frozen=True)
+class BenchSchema:
+    """One gated ``BENCH_*.json``: its name, its measure, its sections.
 
-    Per (case, n) row: transfer and fallback counts are structural
-    (``fallbacks`` must stay 0 — a benchmark instance that falls back to
-    the full recolor is no longer measuring the repair path) and the
-    repair-vs-full-recolor speedup must stay above the perf floor.
+    ``measure()`` returns fresh rows in the file's shape: section name ->
+    row list.
     """
-    report = GateReport()
-    if baseline is None:
-        baseline = {}
-    base_rows = {
-        (row["case"], row["n"]): row for row in baseline.get("repair", [])
-    }
-    for row in current_rows:
-        key = (row["case"], row["n"])
-        label = f"repair.{row['case']}.n{row['n']}"
-        base = base_rows.get(key)
-        _check_exact(
-            report, f"{label}.transfers", row["transfers"],
-            None if base is None else base.get("transfers"),
-        )
-        _check_exact(report, f"{label}.fallbacks", row["fallbacks"], 0)
-        _check_floor(
-            report, f"{label}.speedup", row["speedup"],
-            None if base is None else base.get("speedup"), perf_floor,
-        )
-    return report
+
+    file: str
+    measure: Callable[[], dict[str, list[dict]]]
+    sections: tuple[Section, ...]
+
+    @property
+    def wall_clock(self) -> bool:
+        """True when any section gates a host-timed perf floor."""
+        return any(section.floor for section in self.sections)
 
 
-def compare_service(
-    current_rows: list[dict],
-    baseline: dict | None,
-    *,
-    perf_floor: float = DEFAULT_PERF_FLOOR,
-    min_rps: float = 500.0,
-) -> GateReport:
-    """Gate re-measured service rows against a ``BENCH_service.json`` dict.
-
-    Per case row: the request/tenant/cell counts are structural (a changed
-    workload shape silently re-scopes the number) and throughput is gated
-    two ways — relative to the committed baseline via the perf floor, and
-    against the absolute ``min_rps`` floor the service is specified to
-    sustain on the micro grid regardless of what the baseline drifted to.
-    """
-    report = GateReport()
-    if baseline is None:
-        baseline = {}
-    base_rows = {row["case"]: row for row in baseline.get("service", [])}
-    for row in current_rows:
-        label = f"service.{row['case']}"
-        base = base_rows.get(row["case"])
-        for field_name in ("tenants", "requests", "distinct_cells"):
-            _check_exact(
-                report, f"{label}.{field_name}", row[field_name],
-                None if base is None else base.get(field_name),
-            )
-        _check_floor(
-            report, f"{label}.rps", row["rps"],
-            None if base is None else base.get("rps"), perf_floor,
-        )
-        _check_floor(report, f"{label}.rps_absolute", row["rps"], min_rps, 1.0)
-    return report
-
-
-def compare_collectives(
-    current: dict,
-    baseline: dict | None,
-    *,
-    rel_tol: float = DEFAULT_SIM_REL_TOL,
-) -> GateReport:
-    """Gate re-measured bake-off rows against a ``BENCH_collectives.json`` dict.
-
-    ``current`` carries the two sections the bench emits: ``curves``
-    (algorithm x backend x N x payload completion times) and ``faults``
-    (algorithm x canonical fault scenario on the optical substrate). Both
-    are deterministic simulated quantities: step and survivor counts are
-    structural and gated exactly, times and availability with the tight
-    relative tolerance. Fault rows must additionally verify clean
-    (``n_errors == 0``) — the same contract as :func:`compare_faults`.
-    """
-    report = GateReport()
-    if baseline is None:
-        baseline = {}
-    base_curves = {
-        (row["algorithm"], row["backend"], row["n_nodes"], row["elems"]): row
-        for row in baseline.get("curves", [])
-    }
-    for row in current.get("curves", []):
-        key = (row["algorithm"], row["backend"], row["n_nodes"], row["elems"])
-        label = (
-            f"collectives.{row['algorithm']}.{row['backend']}"
-            f".n{row['n_nodes']}.e{row['elems']}"
-        )
-        base = base_curves.get(key)
-        _check_exact(
-            report, f"{label}.n_steps", row["n_steps"],
-            None if base is None else base.get("n_steps"),
-        )
-        _check_rel(
-            report, f"{label}.total_time_s", row["total_time_s"],
-            None if base is None else base.get("total_time_s"), rel_tol,
-        )
-    base_faults = {
-        (row["algorithm"], row["scenario"]): row
-        for row in baseline.get("faults", [])
-    }
-    for row in current.get("faults", []):
-        key = (row["algorithm"], row["scenario"])
-        label = f"collectives.{row['algorithm']}.{row['scenario']}"
-        base = base_faults.get(key)
-        _check_exact(report, f"{label}.n_errors", row["n_errors"], 0)
-        _check_exact(
-            report, f"{label}.n_survivors", row["n_survivors"],
-            None if base is None else base.get("n_survivors"),
-        )
-        for field_name in ("healthy_s", "degraded_s", "availability"):
-            _check_rel(
-                report, f"{label}.{field_name}", row[field_name],
-                None if base is None else base.get(field_name), rel_tol,
-            )
-    return report
-
-
-def compare_reconfig(
-    current_rows: list[dict],
-    baseline: dict | None,
-    *,
-    rel_tol: float = DEFAULT_SIM_REL_TOL,
-) -> GateReport:
-    """Gate re-measured reconfiguration rows against ``BENCH_reconfig.json``.
-
-    Per (algorithm, backend, N, payload) row: the serial/overlapped/chosen
-    tuning exposures are deterministic simulated quantities gated at the
-    tight relative tolerance; the estimator's ``decision`` label and the
-    static-verification error count are structural and gated exactly
-    (``n_errors`` must be zero — an overlapped plan that fails PLAN008 is
-    a correctness bug, not a perf number). ``hold_s`` is ``None``-aware:
-    feasibility of the wavelength-partition plan is itself structural, so
-    a ``None``/number flip between baseline and current fails exactly.
-
-    One baseline-independent invariant rides along: at least one optical
-    row must show overlap strictly beating serial tuning — a gate run in
-    which the overlap machinery silently stopped overlapping should fail
-    even if someone regenerates the baseline around it.
-    """
-    report = GateReport()
-    if baseline is None:
-        baseline = {}
-    base_rows = {
-        (row["algorithm"], row["backend"], row["n_nodes"], row["elems"]): row
-        for row in baseline.get("reconfig", [])
-    }
-    for row in current_rows:
-        key = (row["algorithm"], row["backend"], row["n_nodes"], row["elems"])
-        label = (
-            f"reconfig.{row['algorithm']}.{row['backend']}"
-            f".n{row['n_nodes']}.e{row['elems']}"
-        )
-        base = base_rows.get(key)
-        _check_exact(report, f"{label}.n_errors", row["n_errors"], 0)
-        _check_exact(
-            report, f"{label}.decision", row["decision"],
-            None if base is None else base.get("decision"),
-        )
-        for field_name in ("no_overlap_s", "overlap_s", "chosen_s"):
-            _check_rel(
-                report, f"{label}.{field_name}", row[field_name],
-                None if base is None else base.get(field_name), rel_tol,
-            )
-        hold = row["hold_s"]
-        base_hold = None if base is None else base.get("hold_s")
-        metric = f"{label}.hold_s"
-        if base is None:
-            report.checked.append(metric)
+def _compare_row(
+    report: GateReport, section: Section, row: dict, base: dict | None
+) -> None:
+    """Gate one measured row against its baseline row (``None``: absent)."""
+    label = section.label.format(**row)
+    committed = base or {}
+    for name in section.zero:
+        _check_exact(report, f"{label}.{name}", row[name], 0)
+    for name in section.exact:
+        _check_exact(report, f"{label}.{name}", row[name], committed.get(name))
+    for name in section.rel:
+        metric, value, was = f"{label}.{name}", row[name], committed.get(name)
+        if base is None or (value is not None and was is not None):
+            _check_rel(report, metric, value, was, section.rel_tol)
+            continue
+        report.checked.append(metric)
+        if value is not None or was is not None:
             report.violations.append(
                 GateViolation(
-                    metric, "missing-baseline", hold, None, "baseline present"
+                    metric, "exact", value, was,
+                    f"{name.removesuffix('_s')} feasibility (None-ness) must match",
                 )
             )
-        elif hold is None or base_hold is None:
-            # ``None`` means the wavelength-partition plan was infeasible
-            # (or the backend has no hold path at all) — a feasibility
-            # flip in either direction is a structural change.
-            report.checked.append(metric)
-            if hold is not None or base_hold is not None:
-                report.violations.append(
-                    GateViolation(
-                        metric, "exact", hold, base_hold,
-                        "hold feasibility (None-ness) must match",
-                    )
-                )
-        else:
-            _check_rel(report, metric, hold, base_hold, rel_tol)
-    report.checked.append("reconfig.overlap_wins")
-    optical = [r for r in current_rows if r["backend"] == "optical"]
-    if optical and not any(
-        r["overlap_s"] < r["no_overlap_s"] for r in optical
-    ):
-        report.violations.append(
-            GateViolation(
-                "reconfig.overlap_wins", "floor", 0, 1,
-                "at least one optical cell with overlap_s < no_overlap_s",
-            )
+    for name in section.floor:
+        _check_floor(
+            report, f"{label}.{name}", row[name], committed.get(name),
+            section.perf_floor,
         )
-    return report
+    for suffix, name, minimum in section.absolute:
+        _check_floor(report, f"{label}.{suffix}", row[name], minimum, 1.0)
 
 
-#: Deterministic per-cell fields of a fault-sweep row, gated with the tight
-#: relative tolerance (``n_survivors``/``n_errors`` are gated exactly).
-_FAULT_REL_FIELDS = ("healthy_s", "degraded_s", "slowdown_pct", "availability")
+def compare(bench: BenchSchema, current: dict, baseline: dict | None) -> GateReport:
+    """Gate freshly measured ``current`` sections against a baseline dict.
 
-
-def compare_faults(
-    current_rows: list[dict],
-    baseline: dict | None,
-    *,
-    rel_tol: float = DEFAULT_SIM_REL_TOL,
-) -> GateReport:
-    """Gate re-measured fault-sweep rows against a ``BENCH_faults.json`` dict.
-
-    Every field here is a deterministic simulated quantity; any drift past
-    ``rel_tol`` is a behavior change in the degraded-mode pipeline, not
-    noise. ``n_errors`` must additionally be zero — an availability number
-    whose plan failed static verification is worthless.
+    ``current`` and ``baseline`` have the ``BENCH_*.json`` shape (section
+    name -> row list); a ``None`` baseline gates as an empty one.
     """
     report = GateReport()
-    if baseline is None:
-        baseline = {}
-    base_rows = {
-        (row["scenario"], row["backend"]): row
-        for row in baseline.get("scenarios", [])
-    }
-    for row in current_rows:
-        key = (row["scenario"], row["backend"])
-        label = f"faults.{row['scenario']}.{row['backend']}"
-        base = base_rows.get(key)
-        _check_exact(report, f"{label}.n_errors", row["n_errors"], 0)
-        _check_exact(
-            report, f"{label}.n_survivors", row["n_survivors"],
-            None if base is None else base.get("n_survivors"),
-        )
-        for field_name in _FAULT_REL_FIELDS:
-            _check_rel(
-                report, f"{label}.{field_name}", row[field_name],
-                None if base is None else base.get(field_name), rel_tol,
-            )
+    baseline = baseline or {}
+    for section in bench.sections:
+        rows = current.get(section.name, [])
+        base_rows = {
+            section.key_of(row): row for row in baseline.get(section.name, [])
+        }
+        for row in rows:
+            _compare_row(report, section, row, base_rows.get(section.key_of(row)))
+        if section.complete:
+            measured = {section.key_of(row) for row in rows}
+            for key, base in base_rows.items():
+                if key not in measured:
+                    metric = section.label.format(**base)
+                    report.checked.append(metric)
+                    report.violations.append(
+                        GateViolation(metric, "missing-current", None, None,
+                                      "row re-measured")
+                    )
+        for metric, allowed, holds in section.invariants:
+            report.checked.append(metric)
+            if not holds(rows):
+                report.violations.append(GateViolation(metric, "floor", 0, 1, allowed))
     return report
+
+
+def splice(bench: BenchSchema, current: dict, baseline: dict | None) -> dict:
+    """``baseline`` with freshly measured ``current`` rows spliced in.
+
+    Per section, rows match on the key: a measured row replaces its
+    baseline row in place, unmeasured rows (e.g. the N=1024 RWA cells the
+    gate never re-runs) keep their committed values, and new rows append.
+    Sections and keys the schema does not gate are left untouched.
+    """
+    merged = dict(baseline or {})
+    for section in bench.sections:
+        fresh = {section.key_of(row): row for row in current[section.name]}
+        rows = [
+            fresh.pop(section.key_of(row), row)
+            for row in merged.get(section.name, [])
+        ]
+        merged[section.name] = rows + list(fresh.values())
+    return merged

@@ -89,7 +89,7 @@ def _collectives_section(buf: io.StringIO, baseline_path: str) -> None:
         "Swing (arXiv 2401.09356) and the short-circuiting ring SCRing\n"
         "(arXiv 2510.03491, pipeline knob `q`) raced against the paper's\n"
         "lineup; full algorithm x backend x N x payload grid pinned in\n"
-        "`BENCH_collectives.json` and gated by `compare_collectives`.\n"
+        "`BENCH_collectives.json` and gated by `scripts/bench_gate.py`.\n"
         "Headline cells (completion time, largest pinned payload):\n"
     )
     for backend in ("optical", "analytic"):

@@ -1,23 +1,42 @@
-"""The bench gate: comparator unit tests plus the script's exit contract."""
+"""The bench gate: the schema comparator's unit tests plus the script's
+exit contract."""
 
 import json
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from repro.obs.benchgate import (
-    GateReport,
-    GateViolation,
-    compare_collectives,
-    compare_faults,
-    compare_reconfig,
-    compare_repair,
-    compare_rwa,
-    compare_service,
-)
+import pytest
+
+from benchmarks.bench_collectives import GATE as COLLECTIVES
+from benchmarks.bench_faults import GATE as FAULTS
+from benchmarks.bench_reconfig import GATE as RECONFIG
+from benchmarks.bench_repair import GATE as REPAIR
+from benchmarks.bench_rwa import GATE as RWA
+from benchmarks.bench_service import GATE as SERVICE
+from repro.obs.benchgate import GateReport, GateViolation, compare
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 GATE_SCRIPT = REPO_ROOT / "scripts" / "bench_gate.py"
+GATES = (RWA, REPAIR, SERVICE, FAULTS, COLLECTIVES, RECONFIG)
+#: The baselines ``--skip-perf`` still gates: pure functions of the inputs.
+DETERMINISTIC = ("BENCH_faults.json", "BENCH_collectives.json", "BENCH_reconfig.json")
+
+
+def _with(gate, **bounds):
+    """``gate`` with ``bounds`` set on every section (a copied schema)."""
+    return replace(
+        gate, sections=tuple(replace(section, **bounds) for section in gate.sections)
+    )
+
+
+def _rows(gate, rows, baseline, **bounds):
+    """Gate ``rows`` as the single section of ``gate``."""
+    (section,) = gate.sections
+    return compare(_with(gate, **bounds), {section.name: rows}, baseline)
+
 
 _RWA_BASELINE = {
     "micro": [
@@ -41,30 +60,30 @@ class TestCompareRwa:
         return row
 
     def test_pass(self):
-        report = compare_rwa([self._row()], _RWA_BASELINE, perf_floor=0.25)
+        report = _rows(RWA, [self._row()], _RWA_BASELINE, perf_floor=0.25)
         assert report.ok
         assert len(report.checked) == 2
 
     def test_perf_floor_breach(self):
-        report = compare_rwa(
-            [self._row(speedup=1.0)], _RWA_BASELINE, perf_floor=0.25
+        report = _rows(
+            RWA, [self._row(speedup=1.0)], _RWA_BASELINE, perf_floor=0.25
         )
         assert [v.kind for v in report.violations] == ["floor"]
         assert "0.25" in report.violations[0].allowed
 
     def test_above_floor_but_below_baseline_passes(self):
         # Wall clock is noisy: only a floor breach fails, not any slowdown.
-        report = compare_rwa(
-            [self._row(speedup=4.0)], _RWA_BASELINE, perf_floor=0.25
+        report = _rows(
+            RWA, [self._row(speedup=4.0)], _RWA_BASELINE, perf_floor=0.25
         )
         assert report.ok
 
     def test_transfer_count_exact(self):
-        report = compare_rwa([self._row(transfers=239)], _RWA_BASELINE)
+        report = _rows(RWA, [self._row(transfers=239)], _RWA_BASELINE)
         assert [v.kind for v in report.violations] == ["exact"]
 
     def test_missing_baseline_row_is_a_violation(self):
-        report = compare_rwa([self._row(n=256)], _RWA_BASELINE)
+        report = _rows(RWA, [self._row(n=256)], _RWA_BASELINE)
         assert {v.kind for v in report.violations} == {"missing-baseline"}
         assert len(report.violations) == 2  # transfers and speedup
 
@@ -85,13 +104,13 @@ class TestCompareRepair:
         return row
 
     def test_pass(self):
-        report = compare_repair([self._row()], _REPAIR_BASELINE)
+        report = _rows(REPAIR, [self._row()], _REPAIR_BASELINE)
         assert report.ok
         assert len(report.checked) == 3
 
     def test_perf_floor_breach_reports_measured_ratio(self):
-        report = compare_repair(
-            [self._row(speedup=1.2)], _REPAIR_BASELINE, perf_floor=0.25
+        report = _rows(
+            REPAIR, [self._row(speedup=1.2)], _REPAIR_BASELINE, perf_floor=0.25
         )
         assert [v.kind for v in report.violations] == ["floor"]
         # The violation message names the measured current/baseline ratio
@@ -99,32 +118,36 @@ class TestCompareRepair:
         assert "measured 0.1 x baseline" in report.violations[0].allowed
 
     def test_fallback_is_a_regression(self):
-        report = compare_repair([self._row(fallbacks=1)], _REPAIR_BASELINE)
+        report = _rows(REPAIR, [self._row(fallbacks=1)], _REPAIR_BASELINE)
         assert [v.metric for v in report.violations] == [
             "repair.dead-wavelength.n1024.fallbacks"
         ]
         assert report.violations[0].kind == "exact"
 
     def test_transfer_count_exact(self):
-        report = compare_repair([self._row(transfers=239)], _REPAIR_BASELINE)
+        report = _rows(REPAIR, [self._row(transfers=239)], _REPAIR_BASELINE)
         assert [v.kind for v in report.violations] == ["exact"]
 
     def test_missing_baseline_row(self):
-        report = compare_repair([self._row(n=64)], _REPAIR_BASELINE)
-        # fallbacks is gated against the constant 0 even without a baseline.
+        # A grown grid: the baseline row is re-measured, the new one is not
+        # in the baseline. fallbacks is gated against the constant 0 even
+        # without a baseline.
+        report = _rows(
+            REPAIR, [self._row(), self._row(n=64)], _REPAIR_BASELINE
+        )
         assert len(report.violations) == 2
         assert {v.kind for v in report.violations} == {"missing-baseline"}
 
 
 class TestCompareFaults:
     def test_pass(self):
-        report = compare_faults([dict(_FAULT_ROW)], _FAULT_BASELINE)
+        report = _rows(FAULTS, [dict(_FAULT_ROW)], _FAULT_BASELINE)
         assert report.ok
         assert len(report.checked) == 6
 
     def test_rel_drift_fails(self):
         row = dict(_FAULT_ROW, availability=0.500001)
-        report = compare_faults([row], _FAULT_BASELINE, rel_tol=1e-6)
+        report = _rows(FAULTS, [row], _FAULT_BASELINE, rel_tol=1e-6)
         assert [v.metric for v in report.violations] == [
             "faults.cut-fiber.optical.availability"
         ]
@@ -132,22 +155,23 @@ class TestCompareFaults:
 
     def test_rel_tolerance_is_configurable(self):
         row = dict(_FAULT_ROW, availability=0.500001)
-        assert compare_faults([row], _FAULT_BASELINE, rel_tol=1e-3).ok
+        assert _rows(FAULTS, [row], _FAULT_BASELINE, rel_tol=1e-3).ok
 
     def test_nonzero_check_errors_fail(self):
         row = dict(_FAULT_ROW, n_errors=2)
-        report = compare_faults([row], _FAULT_BASELINE)
+        report = _rows(FAULTS, [row], _FAULT_BASELINE)
         assert "n_errors" in report.violations[0].metric
 
     def test_survivor_count_exact(self):
         row = dict(_FAULT_ROW, n_survivors=63)
-        report = compare_faults([row], _FAULT_BASELINE)
+        report = _rows(FAULTS, [row], _FAULT_BASELINE)
         assert [v.kind for v in report.violations] == ["exact"]
 
     def test_missing_baseline_row(self):
         row = dict(_FAULT_ROW, scenario="unknown")
-        report = compare_faults([row], _FAULT_BASELINE)
-        # n_errors is gated against the constant 0 even without a baseline.
+        # A grown grid; n_errors is gated against the constant 0 even
+        # without a baseline.
+        report = _rows(FAULTS, [dict(_FAULT_ROW), row], _FAULT_BASELINE)
         assert len(report.violations) == 5
         assert {v.kind for v in report.violations} == {"missing-baseline"}
 
@@ -173,14 +197,17 @@ class TestCompareCollectives:
             "faults": [dict(_COLLECTIVE_FAULT_ROW, **(fault_over or {}))],
         }
 
+    def _compare(self, current, baseline, **bounds):
+        return compare(_with(COLLECTIVES, **bounds), current, baseline)
+
     def test_pass(self):
-        report = compare_collectives(self._current(), _COLLECTIVES_BASELINE)
+        report = self._compare(self._current(), _COLLECTIVES_BASELINE)
         assert report.ok
         # 2 curve fields + 5 fault fields.
         assert len(report.checked) == 7
 
     def test_step_count_exact(self):
-        report = compare_collectives(
+        report = self._compare(
             self._current(curve_over={"n_steps": 13}), _COLLECTIVES_BASELINE
         )
         assert [v.metric for v in report.violations] == [
@@ -189,13 +216,13 @@ class TestCompareCollectives:
         assert report.violations[0].kind == "exact"
 
     def test_time_drift_fails_at_tight_tol(self):
-        report = compare_collectives(
+        report = self._compare(
             self._current(curve_over={"total_time_s": 1.00001e-3}),
             _COLLECTIVES_BASELINE,
             rel_tol=1e-6,
         )
         assert [v.kind for v in report.violations] == ["rel"]
-        assert compare_collectives(
+        assert self._compare(
             self._current(curve_over={"total_time_s": 1.00001e-3}),
             _COLLECTIVES_BASELINE,
             rel_tol=1e-3,
@@ -203,7 +230,7 @@ class TestCompareCollectives:
 
     def test_fault_row_must_verify_clean(self):
         # n_errors is gated against the constant 0, baseline or not.
-        report = compare_collectives(
+        report = self._compare(
             self._current(fault_over={"n_errors": 3}), _COLLECTIVES_BASELINE
         )
         assert [v.metric for v in report.violations] == [
@@ -211,7 +238,7 @@ class TestCompareCollectives:
         ]
         assert report.violations[0].kind == "exact"
         # Even without any baseline, a dirty row still fails.
-        bare = compare_collectives(
+        bare = self._compare(
             {"faults": [dict(_COLLECTIVE_FAULT_ROW, n_errors=3)]}, None
         )
         assert any(
@@ -220,9 +247,10 @@ class TestCompareCollectives:
         )
 
     def test_missing_baseline_row(self):
-        report = compare_collectives(
-            self._current(curve_over={"n_nodes": 256}), _COLLECTIVES_BASELINE
-        )
+        # A grown grid: the baseline cell is re-measured next to a new one.
+        current = self._current()
+        current["curves"].append(dict(_CURVE_ROW, n_nodes=256))
+        report = self._compare(current, _COLLECTIVES_BASELINE)
         assert {v.kind for v in report.violations} == {"missing-baseline"}
         assert len(report.violations) == 2  # n_steps and total_time_s
 
@@ -242,14 +270,14 @@ class TestCompareReconfig:
         return row
 
     def test_pass(self):
-        report = compare_reconfig([self._row()], _RECONFIG_BASELINE)
+        report = _rows(RECONFIG, [self._row()], _RECONFIG_BASELINE)
         assert report.ok
         # 6 per-row fields + the baseline-independent overlap_wins check.
         assert len(report.checked) == 7
 
     def test_decision_flip_exact(self):
-        report = compare_reconfig(
-            [self._row(decision="reconfigure")], _RECONFIG_BASELINE
+        report = _rows(
+            RECONFIG, [self._row(decision="reconfigure")], _RECONFIG_BASELINE
         )
         assert [v.metric for v in report.violations] == [
             "reconfig.rd.optical.n8.e1000000.decision"
@@ -257,24 +285,26 @@ class TestCompareReconfig:
         assert report.violations[0].kind == "exact"
 
     def test_time_drift_fails_at_tight_tol(self):
-        report = compare_reconfig(
-            [self._row(chosen_s=1.20001e-3)], _RECONFIG_BASELINE, rel_tol=1e-6
+        report = _rows(
+            RECONFIG, [self._row(chosen_s=1.20001e-3)], _RECONFIG_BASELINE,
+            rel_tol=1e-6,
         )
         assert [v.kind for v in report.violations] == ["rel"]
-        assert compare_reconfig(
-            [self._row(chosen_s=1.20001e-3)], _RECONFIG_BASELINE, rel_tol=1e-3
+        assert _rows(
+            RECONFIG, [self._row(chosen_s=1.20001e-3)], _RECONFIG_BASELINE,
+            rel_tol=1e-3,
         ).ok
 
     def test_row_must_verify_clean(self):
         # n_errors gates against the constant 0 even without a baseline.
-        report = compare_reconfig([self._row(n_errors=2)], None)
+        report = _rows(RECONFIG, [self._row(n_errors=2)], None)
         assert any(
             v.metric.endswith(".n_errors") and v.kind == "exact"
             for v in report.violations
         )
 
     def test_hold_feasibility_flip_is_exact(self):
-        report = compare_reconfig([self._row(hold_s=None)], _RECONFIG_BASELINE)
+        report = _rows(RECONFIG, [self._row(hold_s=None)], _RECONFIG_BASELINE)
         violations = [
             v for v in report.violations if v.metric.endswith(".hold_s")
         ]
@@ -286,11 +316,12 @@ class TestCompareReconfig:
             "reconfig": [dict(_RECONFIG_ROW, hold_s=None, decision="hold-infeasible")]
         }
         current = [self._row(hold_s=None, decision="hold-infeasible")]
-        assert compare_reconfig(current, baseline).ok
+        assert _rows(RECONFIG, current, baseline).ok
 
     def test_missing_baseline_row(self):
-        report = compare_reconfig(
-            [self._row(n_nodes=16)], _RECONFIG_BASELINE
+        # A grown grid: the baseline cell is re-measured next to a new one.
+        report = _rows(
+            RECONFIG, [self._row(), self._row(n_nodes=16)], _RECONFIG_BASELINE
         )
         # decision + 3 rel fields + hold_s; n_errors/overlap_wins still pass.
         assert {v.kind for v in report.violations} == {"missing-baseline"}
@@ -298,9 +329,7 @@ class TestCompareReconfig:
 
     def test_overlap_must_win_somewhere(self):
         stuck = self._row(overlap_s=_RECONFIG_ROW["no_overlap_s"])
-        report = compare_reconfig(
-            [stuck], {"reconfig": [dict(stuck)]}
-        )
+        report = _rows(RECONFIG, [stuck], {"reconfig": [dict(stuck)]})
         assert [v.metric for v in report.violations] == ["reconfig.overlap_wins"]
         assert report.violations[0].kind == "floor"
         # Electrical-only rows carry no overlap machinery — no floor check.
@@ -308,10 +337,7 @@ class TestCompareReconfig:
             backend="electrical", overlap_s=2e-3, chosen_s=2e-3,
             hold_s=None, decision="n/a",
         )
-        assert compare_reconfig(
-            [electric],
-            {"reconfig": [dict(electric)]},
-        ).ok
+        assert _rows(RECONFIG, [electric], {"reconfig": [dict(electric)]}).ok
 
 
 _SERVICE_BASELINE = {
@@ -331,20 +357,20 @@ class TestCompareService:
         return row
 
     def test_pass(self):
-        report = compare_service([self._row()], _SERVICE_BASELINE)
+        report = _rows(SERVICE, [self._row()], _SERVICE_BASELINE)
         assert report.ok
         assert len(report.checked) == 5
 
     def test_perf_floor_breach(self):
-        report = compare_service(
-            [self._row(rps=450.0)], _SERVICE_BASELINE, perf_floor=0.25
+        report = _rows(
+            SERVICE, [self._row(rps=450.0)], _SERVICE_BASELINE, perf_floor=0.25
         )
         # 450 clears 0.25 x 1600 = 400 but breaches the absolute >=500 floor.
         assert [v.metric for v in report.violations] == [
             "service.service-micro.rps_absolute"
         ]
-        report = compare_service(
-            [self._row(rps=350.0)], _SERVICE_BASELINE, perf_floor=0.5
+        report = _rows(
+            SERVICE, [self._row(rps=350.0)], _SERVICE_BASELINE, perf_floor=0.5
         )
         assert {v.metric for v in report.violations} == {
             "service.service-micro.rps",
@@ -352,23 +378,28 @@ class TestCompareService:
         }
 
     def test_absolute_floor_is_configurable(self):
-        assert compare_service(
-            [self._row(rps=520.0)], _SERVICE_BASELINE, min_rps=500.0
+        assert _rows(
+            SERVICE, [self._row(rps=520.0)], _SERVICE_BASELINE,
+            absolute=(("rps_absolute", "rps", 500.0),),
         ).ok
-        report = compare_service(
-            [self._row(rps=520.0)], _SERVICE_BASELINE, min_rps=1000.0
+        report = _rows(
+            SERVICE, [self._row(rps=520.0)], _SERVICE_BASELINE,
+            absolute=(("rps_absolute", "rps", 1000.0),),
         )
         assert [v.metric for v in report.violations] == [
             "service.service-micro.rps_absolute"
         ]
 
     def test_structural_counts_exact(self):
-        report = compare_service([self._row(requests=399)], _SERVICE_BASELINE)
+        report = _rows(SERVICE, [self._row(requests=399)], _SERVICE_BASELINE)
         assert [v.kind for v in report.violations] == ["exact"]
 
     def test_missing_baseline_row(self):
-        report = compare_service([self._row(case="other")], _SERVICE_BASELINE)
-        # The absolute rps floor still applies without a baseline row.
+        # A grown grid; the absolute rps floor still applies without a
+        # baseline row.
+        report = _rows(
+            SERVICE, [self._row(), self._row(case="other")], _SERVICE_BASELINE
+        )
         assert len(report.violations) == 4
         assert {v.kind for v in report.violations} == {"missing-baseline"}
 
@@ -385,7 +416,7 @@ class TestGateReport:
         assert not a.ok
 
     def test_to_dict_round_trips_through_json(self):
-        report = compare_rwa([], _RWA_BASELINE)
+        report = _rows(RWA, [], _RWA_BASELINE)
         data = json.loads(json.dumps(report.to_dict()))
         assert data["ok"] is True
         assert data["n_checked"] == 0
@@ -394,32 +425,118 @@ class TestGateReport:
         assert "0 violation(s)" in GateReport().render()
 
 
-def _run_gate(*argv):
-    return subprocess.run(
-        [sys.executable, str(GATE_SCRIPT), "--skip-perf", *argv],
+def _committed(gate):
+    return json.loads((REPO_ROOT / gate.file).read_text())
+
+
+class TestSchemas:
+    def test_bounds_are_schema_constants(self):
+        for gate in GATES:
+            for section in gate.sections:
+                assert section.rel_tol == 1e-6
+                assert section.perf_floor == 0.25
+        assert SERVICE.sections[0].absolute == (("rps_absolute", "rps", 500.0),)
+
+    @pytest.mark.parametrize("gate", GATES, ids=lambda gate: gate.file)
+    def test_committed_baseline_gates_green_against_itself(self, gate):
+        baseline = _committed(gate)
+        assert compare(gate, baseline, baseline).ok
+
+
+class TestMissingCurrent:
+    @pytest.mark.parametrize(
+        ("gate", "dropped"),
+        [
+            (FAULTS, lambda row: row["scenario"] == "cut-fiber"
+             and row["backend"] == "optical"),
+            (COLLECTIVES, lambda row: row["algorithm"] == "swing"),
+            (RECONFIG, lambda row: row["backend"] == "optical"),
+        ],
+        ids=["one-fault-row", "every-swing-row", "every-optical-reconfig-row"],
+    )
+    def test_dropped_rows_fail(self, gate, dropped):
+        baseline = _committed(gate)
+        current = {
+            section.name: [row for row in baseline[section.name] if not dropped(row)]
+            for section in gate.sections
+        }
+        n_dropped = sum(
+            dropped(row) for section in gate.sections for row in baseline[section.name]
+        )
+        assert n_dropped
+        report = compare(gate, current, baseline)
+        # One violation per lost row; without optical rows the reconfig
+        # overlap_wins invariant passes vacuously, so only these catch it.
+        assert [v.kind for v in report.violations] == ["missing-current"] * n_dropped
+
+    def test_partially_measured_section_is_exempt(self):
+        # The RWA gate re-runs only the N<1024 micro rows (~20 s otherwise).
+        baseline = _committed(RWA)
+        current = {"micro": [row for row in baseline["micro"] if row["n"] < 1024]}
+        assert len(current["micro"]) < len(baseline["micro"])
+        assert compare(RWA, current, baseline).ok
+
+
+@pytest.fixture
+def baselines(tmp_path):
+    """Copies of the committed baselines; every script run points here."""
+    copies = tmp_path / "baselines"
+    copies.mkdir()
+    for path in REPO_ROOT.glob("BENCH_*.json"):
+        shutil.copy(path, copies / path.name)
+    return copies
+
+
+def _committed_files():
+    return {
+        path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in REPO_ROOT.glob("BENCH_*.json")
+    }
+
+
+def _run_gate(baselines, *argv):
+    before = _committed_files()
+    proc = subprocess.run(
+        [
+            sys.executable, str(GATE_SCRIPT), "--skip-perf",
+            "--baselines", str(baselines), *argv,
+        ],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
         timeout=300,
     )
+    # Not even an mtime: a test run must never re-pin a committed baseline.
+    assert _committed_files() == before
+    return proc
 
 
 class TestBenchGateScript:
-    def test_green_against_committed_baseline(self, tmp_path):
+    def test_green_against_committed_baseline(self, baselines, tmp_path):
         out = tmp_path / "diff.json"
-        proc = _run_gate("--json", str(out))
+        summary = tmp_path / "summary.md"
+        proc = _run_gate(baselines, "--json", str(out), "--summary", str(summary))
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert json.loads(out.read_text())["ok"] is True
+        diff = json.loads(out.read_text())
+        assert diff["ok"] is True
+        assert diff["n_checked"] == 615
+        assert [
+            (entry["file"], entry["n_checked"], entry["n_violations"])
+            for entry in diff["files"]
+        ] == [
+            ("BENCH_faults.json", 72, 0),
+            ("BENCH_collectives.json", 434, 0),
+            ("BENCH_reconfig.json", 109, 0),
+        ]
+        assert "| `BENCH_collectives.json` | 434 | 0 |" in summary.read_text()
 
-    def test_perturbed_baseline_fails(self, tmp_path):
-        baseline = json.loads((REPO_ROOT / "BENCH_faults.json").read_text())
+    def test_perturbed_baseline_fails(self, baselines, tmp_path):
+        path = baselines / "BENCH_faults.json"
+        baseline = json.loads(path.read_text())
         baseline["scenarios"][0]["availability"] *= 0.9
-        path = tmp_path / "perturbed.json"
         path.write_text(json.dumps(baseline))
         out = tmp_path / "diff.json"
-        proc = _run_gate(
-            "--baseline-faults", str(path), "--json", str(out)
-        )
+        proc = _run_gate(baselines, "--json", str(out))
         assert proc.returncode == 1, proc.stdout + proc.stderr
         diff = json.loads(out.read_text())
         assert diff["ok"] is False
@@ -427,37 +544,32 @@ class TestBenchGateScript:
             v["metric"].endswith(".availability") for v in diff["violations"]
         )
 
-    def test_missing_baseline_exits_2(self, tmp_path):
-        proc = _run_gate("--baseline-faults", str(tmp_path / "absent.json"))
+    def test_missing_baseline_exits_2(self, baselines):
+        (baselines / "BENCH_faults.json").unlink()
+        proc = _run_gate(baselines)
         assert proc.returncode == 2
         assert "missing or unreadable baseline" in proc.stderr
 
-    def test_update_baseline_rewrites_measured_cells(self, tmp_path):
-        """--update-baseline splices fresh rows into the pinned JSON; the
-        deterministic fault rows must round-trip identically."""
-        baseline = json.loads((REPO_ROOT / "BENCH_faults.json").read_text())
+    def test_update_baseline_rewrites_measured_cells(self, baselines):
+        """--update-baseline splices fresh rows into the baseline JSON; the
+        deterministic baselines must come back byte-identical."""
+        path = baselines / "BENCH_faults.json"
+        baseline = json.loads(path.read_text())
         baseline["scenarios"][0]["availability"] *= 0.9  # stale cell
-        path = tmp_path / "stale.json"
-        path.write_text(json.dumps(baseline))
-        # Redirect the collectives baseline too so the test never rewrites
-        # the committed BENCH_collectives.json.
-        proc = _run_gate(
-            "--update-baseline", "--baseline-faults", str(path),
-            "--baseline-collectives", str(tmp_path / "collectives.json"),
-        )
+        path.write_text(json.dumps(baseline, indent=2) + "\n")
+        proc = _run_gate(baselines, "--update-baseline")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         updated = json.loads(path.read_text())
         committed = json.loads((REPO_ROOT / "BENCH_faults.json").read_text())
         assert updated["scenarios"] == committed["scenarios"]
+        for name in DETERMINISTIC:
+            assert (baselines / name).read_bytes() == (REPO_ROOT / name).read_bytes()
 
-    def test_update_baseline_creates_missing_file(self, tmp_path):
-        path = tmp_path / "fresh.json"
-        collectives = tmp_path / "collectives.json"
-        proc = _run_gate(
-            "--update-baseline", "--baseline-faults", str(path),
-            "--baseline-collectives", str(collectives),
-        )
+    def test_update_baseline_creates_missing_file(self, baselines):
+        (baselines / "BENCH_faults.json").unlink()
+        (baselines / "BENCH_collectives.json").unlink()
+        proc = _run_gate(baselines, "--update-baseline")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert json.loads(path.read_text())["scenarios"]
-        fresh = json.loads(collectives.read_text())
+        assert json.loads((baselines / "BENCH_faults.json").read_text())["scenarios"]
+        fresh = json.loads((baselines / "BENCH_collectives.json").read_text())
         assert fresh["curves"] and fresh["faults"]
