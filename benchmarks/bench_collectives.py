@@ -7,11 +7,15 @@ declares:
 1. **Completion-time curves** — every registered algorithm with a closed
    form, priced on all three backends over the Fig-4..7 node/payload grid.
    The simulated backends (optical RWA, electrical fluid flow) stop at
-   ``N = 64`` per push, mostly because of the electrical fluid model's
-   max-min rate filling: at N=256, w=64 and 25M elements one electrical
-   SCRing-p4 cell took ~55 s, against ~11 s for a cold lowering of the
-   whole optical lineup (Swing ~6 s of it), on a 2-vCPU VM under Python
-   3.11. Larger sizes are carried by the analytic backend only (the
+   ``N = 64`` per push, mostly because of the electrical fluid model.
+   On a 2-vCPU VM under Python 3.11, the electrical lineup at N=256
+   (both payloads, cold) takes 39 s with the array-form max-min kernel,
+   against 174 s before it; a SCRing-p4 cell alone takes 12-13 s (1,222 to
+   1,293 max-min calls, ~170 bottleneck searches each). A cold lowering
+   of the whole optical lineup there takes ~11 s (Swing ~6 s of it).
+   ``tests/obs/test_benchgate.py::test_green_against_committed_baseline``
+   re-measures the per-push grid in tier-1, so N=256 stays in the weekly
+   lane. Larger sizes are carried by the analytic backend only (the
    printed table says so explicitly — nothing is dropped silently).
 2. **Fault grid** — every algorithm through every canonical fault scenario
    (:func:`repro.runner.faultsweep.default_fault_scenarios`) on the

@@ -17,8 +17,11 @@ its value is being the frozen seed semantics.
 
 from __future__ import annotations
 
+from typing import Mapping, Sequence
+
 import numpy as np
 
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.optical.rwa import STRATEGIES, AssignmentResult
 from repro.optical.topology import Direction, Route
 from repro.sim.rng import SeededRng
@@ -153,8 +156,26 @@ def plan_rounds_reference(
     rng: SeededRng | None = None,
     dsatur_fallback: bool = True,
     blocked: frozenset[int] = frozenset(),
+    route_blocked: Sequence[frozenset[int]] | None = None,
+    preoccupied: Mapping[tuple[Direction, int], int] | None = None,
+    metrics: MetricsRegistry = NULL_METRICS,
 ) -> list[dict[int, tuple[int, int]]]:
-    """Seed multi-round splitting over the reference single-round kernel."""
+    """Seed multi-round splitting over the reference single-round kernel.
+
+    Takes :func:`repro.optical.rwa.plan_rounds`'s keywords so it can stand
+    in for it inside :class:`~repro.optical.network.OpticalRingNetwork`.
+    The seed kernel predates per-route wavelength bans and stuck-MRR
+    quarantine, so it runs only the healthy path: ``route_blocked`` and
+    ``preoccupied`` must be ``None`` or empty. It records nothing into
+    ``metrics``.
+
+    Raises:
+        ValueError: On a non-empty ``route_blocked`` or ``preoccupied``.
+    """
+    if route_blocked is not None and any(route_blocked):
+        raise ValueError("the seed RWA kernel has no per-route wavelength bans")
+    if preoccupied:
+        raise ValueError("the seed RWA kernel has no pre-occupied channels")
     remaining = list(range(len(routes)))
     rounds: list[dict[int, tuple[int, int]]] = []
     first = True

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.optical.network as network_mod
+from repro.backend.plancache import PlanCache
 from repro.collectives.registry import build_schedule
 from repro.optical._rwa_reference import (
     assign_wavelengths_reference,
@@ -162,6 +164,48 @@ class TestInfeasible:
         routes = [topo.cw_route(0, 2)]
         with pytest.raises(RuntimeError):
             plan_rounds_reference(routes, 8, 4, blocked=frozenset(range(4)))
+
+
+class TestNetworkSwap:
+    """The reference stands in for ``plan_rounds`` inside the network, as
+    ``benchmarks/bench_rwa.py``'s fig6-style sweep swaps it in."""
+
+    @pytest.mark.parametrize("algo", ["wrht", "rd", "swing"])
+    def test_healthy_cell_lowers_to_same_rounds(self, algo, monkeypatch):
+        # w=2 makes a step of each algorithm spill into a second round.
+        cfg = OpticalSystemConfig(n_nodes=16, n_wavelengths=2)
+        kwargs = {"n_wavelengths": 2} if algo == "wrht" else {}
+        sched = build_schedule(algo, 16, 1600, **kwargs)
+
+        def lowered():
+            net = OpticalRingNetwork(cfg, plan_cache=PlanCache(maxsize=0))
+            rounds = [
+                net.plan_step_rounds(step, 4.0)
+                for step, _, _ in sched.lowering_profile()
+            ]
+            return rounds, net.lower(sched).entries
+
+        fast = lowered()
+        assert any(len(r) > 1 for r in fast[0])  # some step spills into rounds
+        monkeypatch.setattr(network_mod, "plan_rounds", plan_rounds_reference)
+        assert lowered() == fast
+
+    def test_faulted_keywords_rejected(self):
+        topo = RingTopology(8)
+        routes = [topo.cw_route(0, 2)]
+        with pytest.raises(ValueError, match="per-route"):
+            plan_rounds_reference(routes, 8, 4, route_blocked=[frozenset({1})])
+        with pytest.raises(ValueError, match="pre-occupied"):
+            plan_rounds_reference(
+                routes, 8, 4, preoccupied={(routes[0].direction, 0): 0b10}
+            )
+
+    def test_healthy_keywords_accepted(self):
+        topo = RingTopology(8)
+        routes = [topo.cw_route(0, 2), topo.cw_route(1, 3)]
+        assert plan_rounds_reference(
+            routes, 8, 4, route_blocked=[frozenset(), frozenset()], preoccupied={}
+        ) == plan_rounds(routes, 8, 4)
 
 
 class TestLivesimCrossCheck:

@@ -48,11 +48,20 @@ def running_service(tmp_path, **kwargs):
     service = PlanningService(sock_path, **kwargs)
     thread = threading.Thread(target=lambda: asyncio.run(service.run()), daemon=True)
     thread.start()
+    # The socket file appears at bind(), before listen(): retry connecting
+    # until the daemon accepts, not just until the file exists.
     deadline = time.monotonic() + 10.0
-    while not (tmp_path / "plan.sock").exists():
-        if time.monotonic() > deadline:
-            raise RuntimeError("daemon socket never appeared")
-        time.sleep(0.005)
+    while True:
+        probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            probe.connect(sock_path)
+            break
+        except (FileNotFoundError, ConnectionRefusedError):
+            if time.monotonic() > deadline:
+                raise RuntimeError("daemon never accepted a connection") from None
+            time.sleep(0.005)
+        finally:
+            probe.close()
     try:
         yield service, sock_path
     finally:
