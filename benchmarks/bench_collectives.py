@@ -12,7 +12,9 @@ declares:
    (both payloads, cold) takes 39 s with the array-form max-min kernel,
    against 174 s before it; a SCRing-p4 cell alone takes 12-13 s (1,222 to
    1,293 max-min calls, ~170 bottleneck searches each). A cold lowering
-   of the whole optical lineup there takes ~11 s (Swing ~6 s of it).
+   of the whole optical lineup there (w=64, 25M elements, materialized)
+   takes ~9.2 s, Swing 5.3-5.5 s of it (15.2-15.4 s and 7.5-8.4 s before
+   rounds were validated by sorted keys).
    ``tests/obs/test_benchgate.py::test_green_against_committed_baseline``
    re-measures the per-push grid in tier-1, so N=256 stays in the weekly
    lane. Larger sizes are carried by the analytic backend only (the

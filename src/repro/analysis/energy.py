@@ -111,7 +111,7 @@ def optical_allreduce_energy(
     laser + tuning power for the round's payload time).
     """
     model = model or OpticalEnergyModel()
-    net = OpticalRingNetwork(config, validate=False)
+    net = OpticalRingNetwork(config)
     plan = net.lower(schedule, bytes_per_elem)
     active_seconds = 0.0  # Σ over circuits of their duration
     rounds = 0

@@ -29,7 +29,6 @@ class OpticalBackend(Backend):
         *,
         strategy: str = "first_fit",
         rng: SeededRng | None = None,
-        validate: bool = True,
         plan_cache: PlanCache | None = None,
         collect_events: bool = False,
         metrics: MetricsRegistry = NULL_METRICS,
@@ -50,7 +49,6 @@ class OpticalBackend(Backend):
             strategy=strategy,
             rng=rng,
             tracer=self._tracer,
-            validate=validate,
             plan_cache=plan_cache,
             metrics=metrics,
             overlap=overlap,

@@ -18,6 +18,12 @@ solved once:
 The module is dependency-free (no ``repro`` imports) so that both the
 legacy entry points and the :mod:`repro.check` rules can route through it
 without import cycles.
+
+For the wavelength case it is the enumerator, not the gate: every optical
+round is first decided by the sorted int64 keys of
+:func:`repro.optical.circuit.circuit_conflicts`, and only a round that test
+cannot prove clean (a real collision, or ids the key cannot hold) is turned
+into claims and swept here.
 """
 
 from __future__ import annotations

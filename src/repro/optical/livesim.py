@@ -207,7 +207,7 @@ class LiveOpticalSimulation:
         # ``repair`` the planner keeps its full solutions so each fault
         # event's replacement planner can splice the delta in.
         self._planner = OpticalRingNetwork(
-            config, strategy=strategy, rng=rng, validate=True, metrics=metrics,
+            config, strategy=strategy, rng=rng, metrics=metrics,
             keep_solutions=repair,
         )
 
@@ -317,7 +317,7 @@ class LiveOpticalSimulation:
                 else:
                     state["planner"] = OpticalRingNetwork(
                         replace(self.config, faults=state["faults"]),
-                        strategy=self._strategy, rng=self._rng, validate=True,
+                        strategy=self._strategy, rng=self._rng,
                         metrics=self.metrics,
                     )
                 broken = [

@@ -118,7 +118,6 @@ class OpticalRingNetwork:
         strategy: str = "first_fit",
         rng: SeededRng | None = None,
         tracer: Tracer | None = None,
-        validate: bool = True,
         plan_cache: PlanCache | None = None,
         metrics: MetricsRegistry = NULL_METRICS,
         keep_solutions: bool = False,
@@ -135,14 +134,13 @@ class OpticalRingNetwork:
             raise ValueError("random_fit requires an rng")
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self.validate = validate
         # Cross-run plan cache (default: the process-wide shared one). The
         # key salts every pricing-relevant knob: the frozen config (which
-        # covers failed_wavelengths and the PHY parameters), the strategy
-        # and the validate flag — changing any of them is a new key, so no
-        # explicit invalidation is ever needed.
+        # covers failed_wavelengths and the PHY parameters) and the
+        # strategy — changing either is a new key, so no explicit
+        # invalidation is ever needed.
         self.plan_cache = default_plan_cache() if plan_cache is None else plan_cache
-        self._plan_key_base = (config, strategy, validate)
+        self._plan_key_base = (config, strategy)
         self._cost = config.cost_model()
         # Incremental-repair wiring. ``keep_solutions`` retains the full
         # per-pattern RWA solutions (not just priced summaries) so a later
@@ -433,7 +431,7 @@ class OpticalRingNetwork:
         self,
         step: CommStep,
         bytes_per_elem: float,
-        validate: bool | None = None,
+        validate: bool = True,
         extra_blocked: frozenset[int] | None = None,
     ) -> list[list[Circuit]]:
         """Route, wavelength-assign and circuit-ify one step's rounds.
@@ -441,14 +439,12 @@ class OpticalRingNetwork:
         Shared by the lowering path below, the live event-driven simulation
         (:mod:`repro.optical.livesim`) and the static plan verifier
         (:mod:`repro.check`), so every view of a step has the identical
-        round structure. ``validate`` overrides the instance-level runtime
-        validation flag — the verifier passes ``False`` so that defects
+        round structure. ``validate`` (default on) runs the runtime checks
+        on every round; the verifier passes ``False`` so that defects
         surface as findings instead of exceptions. ``extra_blocked`` bans
         additional wavelength indices for this step only (the hold
         variant's alternating partition).
         """
-        if validate is None:
-            validate = self.validate
         transfers = list(step.transfers)
         if validate and self._dead_nodes:
             dead = self._dead_nodes
@@ -623,7 +619,6 @@ class OpticalRingNetwork:
             replace(self.config, faults=faults),
             strategy=self.strategy,
             tracer=self.tracer,
-            validate=self.validate,
             plan_cache=self.plan_cache,
             metrics=self.metrics,
             keep_solutions=True,

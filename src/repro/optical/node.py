@@ -17,14 +17,30 @@ Segment-exclusive wavelength assignment already implies these constraints
 segment), but :func:`validate_node_constraints` checks them independently —
 it is the test suite's cross-check that the RWA is not quietly violating
 hardware limits.
+
+A clean round is decided without the per-port dictionaries.
+:func:`node_violations` encodes each circuit's transmit and receive use as
+one int64 key ``((node·2 + ccw)·F + fiber)·L + λ`` (``F``, ``L`` = max
+fiber, max λ + 1) and sorts each side. The round is clean iff no key
+repeats on either side and no (node, direction, fiber) port — a run of
+equal ``key // L`` in the sorted keys — is longer than
+``mrrs_per_interface``: with no repeated wavelength, a port's run length
+is the number of distinct wavelengths the loop counts. Only a round that
+fails this test, or whose ids the key cannot hold exactly (negative,
+non-integer, span product ≥ 2**62), runs the loop, so messages and their
+order are unchanged.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.collectives.base import Transfer
-from repro.optical.topology import Route
+from repro.optical.circuit import exact_int64
+from repro.optical.topology import Direction, Route
 from repro.util.validation import check_positive_int
 
 
@@ -78,6 +94,15 @@ def node_violations(
         assignments: ``(transfer, route, fiber, wavelength)`` per circuit.
         mrrs_per_interface: Wavelength capacity of one Tx/Rx set.
     """
+    if not assignments or _ports_within_budget(assignments, mrrs_per_interface):
+        return []
+    return _enumerate_violations(assignments, mrrs_per_interface)
+
+
+def _enumerate_violations(
+    assignments: list[tuple[Transfer, Route, int, int]], mrrs_per_interface: int
+) -> list[str]:
+    """Every violation, in per-circuit then per-port order (the slow path)."""
     violations: list[str] = []
     tx_channels: dict[tuple[int, str, int], set[int]] = {}
     rx_channels: dict[tuple[int, str, int], set[int]] = {}
@@ -107,6 +132,41 @@ def node_violations(
                     f"{mrrs_per_interface} MRRs"
                 )
     return violations
+
+
+def _ports_within_budget(
+    assignments: list[tuple[Transfer, Route, int, int]], mrrs_per_interface: int
+) -> bool:
+    """True iff :func:`node_violations` would find nothing (see module doc).
+
+    ``False`` means "not proven": a violation, or ids the int64 key cannot
+    hold exactly.
+    """
+    try:
+        src = exact_int64([t.src for t, _, _, _ in assignments])
+        dst = exact_int64([t.dst for t, _, _, _ in assignments])
+        ccw = exact_int64([r.direction is Direction.CCW for _, r, _, _ in assignments])
+        fiber = exact_int64([f for _, _, f, _ in assignments])
+        wavelength = exact_int64([w for _, _, _, w in assignments])
+    except struct.error:
+        return False
+    if min(src.min(), dst.min(), fiber.min(), wavelength.min()) < 0:
+        return False
+    n_fiber = int(fiber.max()) + 1
+    n_lambda = int(wavelength.max()) + 1
+    n_node = max(int(src.max()), int(dst.max())) + 1
+    if 2 * n_node * n_fiber * n_lambda >= 1 << 62:
+        return False
+    for node in (src, dst):
+        keys = np.sort(((node * 2 + ccw) * n_fiber + fiber) * n_lambda + wavelength)
+        if np.any(keys[1:] == keys[:-1]):
+            return False
+        ports = keys // n_lambda
+        edges = np.flatnonzero(ports[1:] != ports[:-1]) + 1
+        runs = np.diff(edges, prepend=0, append=len(ports))
+        if runs.max() > mrrs_per_interface:
+            return False
+    return True
 
 
 def validate_node_constraints(

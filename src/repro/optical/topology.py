@@ -78,15 +78,25 @@ class RingTopology:
         dist = self.cw_distance(src, dst)
         if dist == 0:
             raise ValueError(f"no route from node {src} to itself")
-        segments = tuple((src + k) % self.n_nodes for k in range(dist))
+        end = src + dist
+        if end <= self.n_nodes:
+            segments = tuple(range(src, end))
+        else:
+            segments = tuple(range(src, self.n_nodes)) + tuple(range(end - self.n_nodes))
         return Route(Direction.CW, segments)
 
     def ccw_route(self, src: int, dst: int) -> Route:
         """The counter-clockwise route (src != dst)."""
-        dist = self.ccw_distance(src, dst)
+        dist = self.cw_distance(dst, src)  # the CCW distance, both nodes checked
         if dist == 0:
             raise ValueError(f"no route from node {src} to itself")
-        segments = tuple((src - 1 - k) % self.n_nodes for k in range(dist))
+        end = src - dist
+        if end >= 0:
+            segments = tuple(range(src - 1, end - 1, -1))
+        else:
+            segments = tuple(range(src - 1, -1, -1)) + tuple(
+                range(self.n_nodes - 1, self.n_nodes + end - 1, -1)
+            )
         return Route(Direction.CCW, segments)
 
     def shortest_route(self, src: int, dst: int) -> Route:

@@ -9,8 +9,10 @@ from repro.analysis.energy import (
     electrical_allreduce_energy,
     optical_allreduce_energy,
 )
+from repro.backend.errors import BackendConfigError
 from repro.collectives.registry import build_schedule
 from repro.electrical.config import ElectricalSystemConfig
+from repro.faults import DroppedNode, apply_faults
 from repro.optical.config import OpticalSystemConfig
 
 
@@ -53,6 +55,13 @@ class TestOpticalEnergy:
         sched = build_schedule("bt", 8, 100)
         energy = optical_allreduce_energy(sched, cfg, bytes_per_elem=4.0)
         assert energy.payload_bits == 14 * 400 * 8  # see bt byte tests
+
+    def test_dead_node_transfer_rejected(self):
+        # Energy prices only what the optical backend would run: a transfer
+        # into a dropped node is a config error, not a silently priced one.
+        cfg = apply_faults(OpticalSystemConfig(n_nodes=16, n_wavelengths=8), DroppedNode(3))
+        with pytest.raises(BackendConfigError, match="dropped node"):
+            optical_allreduce_energy(build_schedule("ring", 16, 1600), cfg)
 
 
 class TestElectricalEnergy:

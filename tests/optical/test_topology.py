@@ -64,6 +64,22 @@ class TestRingTopology:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             RingTopology(4).cw_route(0, 7)
+        for src, dst in ((0, 7), (7, 0), (-1, 2)):
+            with pytest.raises(ValueError):
+                RingTopology(4).ccw_route(src, dst)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 64])
+    def test_routes_match_modular_formula(self, n):
+        # Every (src, dst): the range slices equal the per-segment formula.
+        ring = RingTopology(n)
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                cw = tuple((a + k) % n for k in range(ring.cw_distance(a, b)))
+                ccw = tuple((a - 1 - k) % n for k in range(ring.ccw_distance(a, b)))
+                assert ring.cw_route(a, b).segments == cw
+                assert ring.ccw_route(a, b).segments == ccw
 
     @given(st.integers(2, 100), st.integers(0, 99), st.integers(0, 99))
     def test_distance_identity(self, n, a, b):
