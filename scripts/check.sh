@@ -18,7 +18,8 @@
 #   6. fault-injection smoke (seeded degraded scenarios per backend,
 #      verified by repro.check; live fault runs checked for determinism;
 #      incremental repair cross-checked against from-scratch recoloring
-#      via --paranoid-repair)
+#      via --paranoid-repair; a Swing N=32/w=8 stuck-MRR repair must
+#      cascade and verify PLAN-clean)
 #   7. planning-service smoke (daemon on a temp socket; every backend's
 #      served answer asserted bit-identical to the in-process path, again
 #      under a serial MRR tuning model, plus a faulted request through

@@ -9,13 +9,17 @@ when the context can satisfy that, so one ``verify_plan`` entry point
 serves the CLI (full optical context), the pytest plugin (plan + schedule,
 no circuit re-derivation) and adversarial tests (hand-mutated circuits).
 
-Circuit rounds are *re-derived statically* from the schedule through
+Circuit rounds come from
 :meth:`~repro.optical.network.OpticalRingNetwork.plan_step_rounds` with
-validation off — lowering is deterministic for ``first_fit``/``best_fit``
-strategies, so the derived circuits are exactly the ones the plan priced.
-``random_fit`` substrates never get derived circuits (re-running RWA would
-consume RNG draws an unverified run would not), and hand-built contexts can
-always inject their own.
+validation off. A ``keep_solutions`` network (every repaired network is
+one) hands back the rounds its lowering kept for each pattern, so the
+verifier audits exactly the circuits the plan priced and no repair runs
+twice. Any other network solves the pattern again; lowering is
+deterministic for ``first_fit``, so those are the priced circuits too, and
+``tests/optical/test_repair.py::TestKeptRounds`` pins that a fresh
+re-solve reproduces the kept rounds. ``random_fit`` substrates never get
+circuits (re-running RWA would consume RNG draws an unverified run would
+not), and hand-built contexts can always inject their own.
 """
 
 from __future__ import annotations
@@ -163,8 +167,9 @@ def optical_context(
         schedule: The schedule the plan was (or will be) lowered from.
         plan: A previously lowered plan; lowered on demand when ``None``.
         bytes_per_elem: Element width used when lowering/deriving.
-        derive_circuits: Statically re-derive per-pattern circuit rounds
-            (skipped automatically for ``random_fit`` substrates).
+        derive_circuits: Attach per-pattern circuit rounds: the kept
+            rounds of a ``keep_solutions`` network, a deterministic
+            re-solve otherwise (skipped for ``random_fit`` substrates).
 
     Returns:
         A :class:`CheckContext` with plan, schedule, config and (where
@@ -176,9 +181,9 @@ def optical_context(
     circuit_rounds: dict[int, list[list[Circuit]]] | None = None
     if derive_circuits and network.strategy != "random_fit":
         # A hold plan (choose_plan's wavelength-partition variant) was
-        # lowered with alternating halves of the budget blocked; re-derive
+        # lowered with alternating halves of the budget blocked; solve
         # with the same mask so the circuit rules audit the circuits the
-        # plan actually priced.
+        # plan actually priced (partitioned rounds are never kept).
         partitioned = bool(
             plan is not None
             and (plan.meta.get("reconfig") or {}).get("partition")

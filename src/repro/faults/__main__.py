@@ -14,9 +14,12 @@ The CI stage behind ``scripts/check.sh``. For one seeded system size it
    (:meth:`~repro.optical.network.OpticalRingNetwork.repair_plan`) and
    asserts the repaired plan executes to the exact from-scratch degraded
    total and verifies clean, and that the live executor's ``repair=True``
-   path reproduces the plain replan run bit for bit. ``--paranoid-repair``
-   additionally cross-checks every individual repair against a
-   from-scratch recolor inside the repair engine.
+   path reproduces the plain replan run bit for bit;
+4. repairs a saturated plan — Swing at N=32/w=8 under the canonical stuck
+   MRR — and asserts the repair cascades (``rwa.repair_cascades > 0``) and
+   the repaired plan verifies clean. ``--paranoid-repair`` additionally
+   cross-checks every individual repair against a from-scratch recolor
+   inside the repair engine.
 
 Exit status is non-zero when any check fails, so the stage gates CI.
 """
@@ -32,6 +35,7 @@ from repro.check.context import optical_context
 from repro.check.engine import verify_plan
 from repro.check.findings import errors
 from repro.collectives import build_wrht_schedule
+from repro.collectives.registry import build_schedule
 from repro.faults.models import DeadWavelength, FaultEvent, FaultSet
 from repro.obs.metrics import MetricsRegistry
 from repro.optical.config import OpticalSystemConfig
@@ -173,6 +177,42 @@ def _check_repair(
     return failures
 
 
+#: The smallest canonical system whose Swing stuck-MRR repair cascades
+#: (at N=16/w=8 every recolor succeeds on the first try).
+CASCADE_SYSTEM = (32, 8)
+
+
+def _check_cascade(paranoid: bool) -> int:
+    """A saturated repair must cascade and still verify clean; returns #failures."""
+    n_nodes, n_wavelengths = CASCADE_SYSTEM
+    schedule = build_schedule("swing", n_nodes, 100_000)
+    metrics = MetricsRegistry(enabled=True)
+    base = OpticalRingNetwork(
+        OpticalSystemConfig(n_nodes=n_nodes, n_wavelengths=n_wavelengths),
+        keep_solutions=True, plan_cache=PlanCache(), metrics=metrics,
+    )
+    base.lower(schedule, 4.0)
+    faults = default_fault_scenarios(n_nodes, n_wavelengths)["stuck-mrr"]
+    plan, network = base.repair_plan(schedule, faults, paranoid=paranoid)
+    findings = verify_plan(context=optical_context(network, schedule, plan))
+    counters = metrics.snapshot().counters
+    ok = (
+        counters.get("rwa.repair_cascades", 0) > 0
+        and errors(findings) == []
+        and counters.get("rwa.repair_paranoid_divergence", 0) == 0
+    )
+    print(
+        f"[{'ok' if ok else 'FAIL'}] cascading repair (swing N={n_nodes} "
+        f"w={n_wavelengths}, stuck MRR): "
+        f"repairs={counters.get('rwa.repair_calls', 0)} "
+        f"cascades={counters.get('rwa.repair_cascades', 0)} "
+        f"fallbacks={counters.get('rwa.repair_fallback', 0)} "
+        f"check errors={len(errors(findings))}"
+        f"{' (paranoid)' if paranoid else ''}"
+    )
+    return 0 if ok else 1
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the smoke checks; returns the process exit status (0 = clean)."""
     parser = argparse.ArgumentParser(
@@ -200,6 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         args.n_nodes, args.n_wavelengths, args.total_elems,
         args.paranoid_repair,
     )
+    failures += _check_cascade(args.paranoid_repair)
     if failures:
         print(f"fault smoke: {failures} check(s) failed", file=sys.stderr)
         return 1

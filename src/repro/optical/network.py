@@ -526,7 +526,10 @@ class OpticalRingNetwork:
         """RWA for one routed step: incremental repair when chained to a
         base network that has a cached solution for this pattern, full
         ``plan_rounds`` otherwise. Captures the solution for downstream
-        repair when ``keep_solutions`` is set. Partitioned steps
+        repair when ``keep_solutions`` is set, and then solves each pattern
+        once: a later call whose routes and :class:`RwaContext` equal the
+        kept ones gets the kept rounds back (deterministic strategies only
+        — ``random_fit`` must draw again). Partitioned steps
         (``extra_blocked``) always solve from scratch and are never
         captured — their colorings live in a different channel space than
         the repairable full-budget ones."""
@@ -551,6 +554,12 @@ class OpticalRingNetwork:
                 metrics=self.metrics,
             )
         ctx = self._rwa_context(route_blocked)
+        if self.keep_solutions and self.strategy != "random_fit":
+            # The rounds this network already priced for the pattern: the
+            # verifier audits them instead of solving (or repairing) again.
+            kept = self._solutions.get(step.transfers)
+            if kept is not None and kept.routes == routes and kept.ctx == ctx:
+                return kept.rounds
         rounds = None
         if self._repair_base is not None:
             base_solution = self._repair_base._solutions.get(step.transfers)

@@ -13,7 +13,10 @@ This module repairs a previously computed solution instead:
 2. The invalidated set is recolored by **DSATUR over the conflict
    subgraph** with every untouched transfer *pinned*: pinned claims are
    seeded into the occupancy the recoloring probes, so the repair can never
-   disturb a healthy assignment.
+   disturb a healthy assignment. Pinned occupancy is one integer segment
+   mask per (direction, round, channel); the affected transfers' conflict
+   and free-color matrices are matmuls over their unpacked segment bits,
+   and selection is an argmax over one (saturation, degree, -index) key.
 3. When a recolored transfer has no free channel under the pins, its
    pinned conflict neighbours (transfers sharing a segment bit in the same
    direction) are **unpinned transitively** and the recoloring retries —
@@ -43,11 +46,14 @@ asserts exactly that.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from repro.backend.errors import BackendExecutionError
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.optical.rwa import plan_rounds, segment_bits
 from repro.optical.topology import Direction, Route
 from repro.sim.rng import SeededRng
 
@@ -56,8 +62,12 @@ from repro.sim.rng import SeededRng
 DEFAULT_MAX_AFFECTED_FRAC = 0.5
 
 
-class RepairValidationError(AssertionError):
-    """A repaired assignment violated a channel constraint (repair bug)."""
+class RepairValidationError(BackendExecutionError):
+    """A repaired assignment violated a channel constraint (repair bug).
+
+    A typed :class:`~repro.backend.errors.BackendError`, so callers handle
+    it like any other lowering failure and it pickles across workers.
+    """
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,12 @@ def affected_indices(
     old, new = solution.ctx, new_ctx
     newly_blocked = new.blocked - old.blocked
     pre_old = old.preoccupied or {}
-    pre_new = new.preoccupied or {}
+    # Each kind of delta is tested only when it is present.
+    grown = {
+        key: span & ~pre_old.get(key, 0)
+        for key, span in (new.preoccupied or {}).items()
+        if span & ~pre_old.get(key, 0)
+    }
     affected = set(edited)
     for rnd in solution.rounds:
         for idx, (_fiber, lam) in rnd.items():
@@ -156,14 +171,12 @@ def affected_indices(
             if lam in newly_blocked:
                 affected.add(idx)
                 continue
-            bans_old = old.route_blocked[idx] if old.route_blocked else frozenset()
-            bans_new = new.route_blocked[idx] if new.route_blocked else frozenset()
-            if lam in bans_new - bans_old:
+            if new.route_blocked and lam in new.route_blocked[idx] and not (
+                old.route_blocked and lam in old.route_blocked[idx]
+            ):
                 affected.add(idx)
                 continue
-            direction = new_routes[idx].direction
-            grown = pre_new.get((direction, lam), 0) & ~pre_old.get((direction, lam), 0)
-            if grown & new_masks[idx]:
+            if grown and grown.get((new_routes[idx].direction, lam), 0) & new_masks[idx]:
                 affected.add(idx)
     return affected
 
@@ -192,6 +205,16 @@ def _pin_recolor(
     Selection follows DSATUR over the affected conflict subgraph with the
     seed kernel's tie order (saturation, degree, lowest index).
 
+    Pinned occupancy is one integer segment mask per (direction, color),
+    built in O(pinned). The affected masks are unpacked into bits once per
+    direction, so that direction's conflict matrix and its free-color
+    matrix against the occupancy are one matmul each (as in
+    :func:`repro.optical.rwa.dsatur_assign`). The next vertex is the argmax
+    of one integer key ordering (saturation, degree, -index)
+    lexicographically: the total order of the lazy-heap kernel in
+    ``tests/optical/pin_recolor_reference.py``, so both return the same
+    rounds or the same stuck vertex.
+
     Returns:
         ``(new_rounds, set())`` on success, or ``(None, stuck)`` where
         ``stuck`` holds the first vertex that had no free channel — the
@@ -205,19 +228,20 @@ def _pin_recolor(
     n_colors = n_rounds * capacity
     chan_index = {chan: c for c, chan in enumerate(allowed)}
 
-    # Occupancy seeded from pinned claims plus quarantine spans.
-    busy: list[dict[Direction, list[int]]] = [
-        {d: [0] * capacity for d in Direction} for _ in range(n_rounds)
-    ]
+    # Occupancy per direction and color (round * capacity + channel),
+    # seeded from quarantine spans plus pinned claims.
+    cw = Direction.CW
+    busy_cw, busy_ccw = [0] * n_colors, [0] * n_colors
     pre = ctx.preoccupied or {}
     if pre:
         for c, (_f, lam) in enumerate(allowed):
-            for direction in Direction:
+            for direction, busy in ((cw, busy_cw), (Direction.CCW, busy_ccw)):
                 span = pre.get((direction, lam), 0)
                 if span:
-                    for r in range(n_rounds):
-                        busy[r][direction][c] |= span
+                    for color in range(c, n_colors, capacity):
+                        busy[color] |= span
     for r, rnd in enumerate(rounds):
+        offset = r * capacity
         for idx, chan in rnd.items():
             if idx in affected:
                 continue
@@ -226,59 +250,76 @@ def _pin_recolor(
                 # A pinned claim on a now-banned channel means the delta
                 # computation missed it — treat as infeasible pinning.
                 return None, {idx}
-            busy[r][routes[idx].direction][c] |= masks[idx]
+            if routes[idx].direction is cw:
+                busy_cw[offset + c] |= masks[idx]
+            else:
+                busy_ccw[offset + c] |= masks[idx]
 
-    order = sorted(affected)
-    adj: dict[int, list[int]] = {v: [] for v in order}
-    for i, v in enumerate(order):
-        for u in order[i + 1 :]:
-            if routes[v].direction is routes[u].direction and masks[v] & masks[u]:
-                adj[v].append(u)
-                adj[u].append(v)
-    deg = {v: len(adj[v]) for v in order}
-    # Bans and pinned occupancy are pre-marked as seen WITHOUT saturation,
-    # mirroring dsatur_assign's fault handling: the selection order among
-    # the affected vertices depends only on their mutual conflicts.
-    seen = {v: bytearray(n_colors) for v in order}
-    for v in order:
-        bans = ctx.route_blocked[v] if ctx.route_blocked else frozenset()
-        mask = masks[v]
-        direction = routes[v].direction
-        for c, (_f, lam) in enumerate(allowed):
-            banned = lam in bans
-            for r in range(n_rounds):
-                if banned or busy[r][direction][c] & mask:
-                    seen[v][r * capacity + c] = 1
-
-    sat = {v: 0 for v in order}
-    heap = [(0, -deg[v], v) for v in order]
-    heapq.heapify(heap)
-    colors: dict[int, int] = {}
-    while len(colors) < len(order):
-        while True:
-            neg_sat, _neg_deg, pick = heapq.heappop(heap)
-            if pick not in colors and -neg_sat == sat[pick]:
-                break
-        row = seen[pick]
-        color = next((c for c in range(n_colors) if not row[c]), None)
-        if color is None:
-            return None, {pick}
-        colors[pick] = color
-        r, c = divmod(color, capacity)
-        busy[r][routes[pick].direction][c] |= masks[pick]
-        for peer in adj[pick]:
-            if peer in colors or seen[peer][color]:
-                continue
-            seen[peer][color] = 1
-            sat[peer] += 1
-            heapq.heappush(heap, (-sat[peer], -deg[peer], peer))
+    # Affected vertices by position: clockwise first, each direction in
+    # index order, so a direction's rows are one contiguous slice.
+    ascending = sorted(affected)
+    order = [v for v in ascending if routes[v].direction is cw]
+    split = len(order)
+    order += [v for v in ascending if routes[v].direction is not cw]
+    n_aff = len(order)
+    # Per direction: (first position, conflict, free, key slice).
+    # ``free[color, local]`` turns False once ``color`` is banned, occupied
+    # or taken by a colored neighbour, and for every color once the vertex
+    # itself is colored. Bans and pinned occupancy are pre-marked WITHOUT
+    # saturation, mirroring dsatur_assign's fault handling: the selection
+    # order depends only on the affected vertices' mutual conflicts.
+    # ``key`` orders (saturation, degree, -index) as one integer; a colored
+    # vertex's key is -1.
+    ceiling = max(order, default=0) + 1
+    key = np.zeros(n_aff, dtype=np.int64)
+    max_deg = 0
+    groups = []
+    for lo, hi, busy in ((0, split, busy_cw), (split, n_aff, busy_ccw)):
+        members = order[lo:hi]
+        bits = segment_bits([masks[v] for v in members])
+        # Occupied segments beyond the members' widest mask cannot collide.
+        width = (1 << bits.shape[1]) - 1
+        occupied = segment_bits([mask & width for mask in busy], bits.shape[1] // 8)
+        bits = bits.astype(np.float32)
+        free = (occupied.astype(np.float32) @ bits.T) == 0
+        conflict = (bits @ bits.T) > 0
+        np.fill_diagonal(conflict, False)
+        if ctx.route_blocked:
+            by_round = free.reshape(n_rounds, capacity, hi - lo)
+            for local, v in enumerate(members):
+                bans = ctx.route_blocked[v]
+                if bans:
+                    banned = [c for c, (_f, lam) in enumerate(allowed) if lam in bans]
+                    by_round[:, banned, local] = False
+        deg = np.count_nonzero(conflict, axis=1)
+        max_deg = max(max_deg, int(deg.max(initial=0)))
+        key[lo:hi] = deg * ceiling + (ceiling - 1 - np.array(members, dtype=np.int64))
+        groups.append((lo, conflict, free, key[lo:hi]))
+    sat_unit = np.int64((max_deg + 1) * ceiling)
+    if order and not n_colors:
+        return None, {order[int(key.argmax())]}
+    colors = [0] * n_aff
+    for _ in range(n_aff):
+        pos = int(key.argmax())
+        lo, conflict, free, group_key = groups[pos >= split]
+        local = pos - lo
+        column = free[:, local]
+        color = int(column.argmax())
+        if not column[color]:
+            return None, {order[pos]}
+        colors[pos] = color
+        key[pos] = -1
+        column[:] = False
+        fresh = conflict[local] & free[color]
+        free[color] ^= fresh
+        group_key += fresh * sat_unit
 
     new_rounds = [
         {idx: chan for idx, chan in rnd.items() if idx not in affected}
         for rnd in rounds
     ]
-    for v in order:
-        r, c = divmod(colors[v], capacity)
+    for v, color in sorted(zip(order, colors)):
+        r, c = divmod(color, capacity)
         new_rounds[r][v] = allowed[c]
     return [rnd for rnd in new_rounds if rnd], set()
 
@@ -320,8 +361,6 @@ def repair_rounds(
         Rounds in ``plan_rounds`` format, covering every index exactly
         once and valid under ``new_ctx``.
     """
-    from repro.optical.rwa import plan_rounds
-
     n = len(new_routes)
     if n != len(solution.routes):
         raise ValueError(
@@ -362,6 +401,9 @@ def repair_rounds(
             return [dict(rnd) for rnd in solution.rounds]
 
         repaired: list[dict[int, tuple[int, int]]] | None = None
+        # Segment bits and direction of every transfer, unpacked on the
+        # first cascade only: a repair that never cascades pays nothing.
+        bits = clockwise = None
         while True:
             if len(affected) > max_affected_frac * n:
                 repaired = None
@@ -371,15 +413,19 @@ def repair_rounds(
             )
             if repaired is not None:
                 break
-            # Unpin the stuck vertices' conflict neighbours and retry —
-            # the transitive closure over the bitmask occupancy.
+            # Unpin the stuck vertices' conflict neighbours (same
+            # direction, a shared segment bit) and retry — the transitive
+            # closure over the bitmask occupancy.
+            if bits is None:
+                bits = segment_bits(masks).view(bool)
+                clockwise = np.fromiter(
+                    (route.direction is Direction.CW for route in new_routes),
+                    dtype=bool, count=n,
+                )
             grown = set(affected)
             for v in stuck:
-                direction = new_routes[v].direction
-                mask = masks[v]
-                for u in range(n):
-                    if u not in grown and new_routes[u].direction is direction and masks[u] & mask:
-                        grown.add(u)
+                row = bits[:, bits[v]].any(axis=1) & (clockwise == clockwise[v])
+                grown.update(np.flatnonzero(row).tolist())
             if grown == affected:
                 repaired = None
                 break

@@ -116,6 +116,19 @@ def _route_masks(routes: list[Route]) -> list[int]:
     return masks
 
 
+def segment_bits(masks: Sequence[int], nbytes: int | None = None) -> np.ndarray:
+    """One uint8 row of unpacked segment bits per mask (bit ``s`` in column
+    ``s``), ``8 * nbytes`` columns wide; every mask must fit in ``nbytes``
+    bytes, which default to the widest mask's."""
+    if nbytes is None:
+        nbytes = max(1, (max((m.bit_length() for m in masks), default=0) + 7) // 8)
+    packed = np.frombuffer(
+        b"".join(mask.to_bytes(nbytes, "little") for mask in masks),
+        dtype=np.uint8,
+    ).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, bitorder="little")
+
+
 def _allowed_channels(
     n_wavelengths: int, fibers_per_direction: int, blocked: frozenset[int]
 ) -> list[tuple[int, int, int]]:
@@ -198,7 +211,6 @@ def dsatur_assign(
     # direction group gets a boolean conflict matrix computed in one
     # float32 matmul over the unpacked mask bits (exact: dot products count
     # shared segments, ≤ the segment count, far below float32 precision).
-    nbytes = max(1, (max(m.bit_length() for m in masks) + 7) // 8)
     groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     local_of = np.zeros(n, dtype=np.intp)
     group_of = np.zeros(n, dtype=np.intp)
@@ -210,11 +222,7 @@ def dsatur_assign(
         )
         if members.size == 0:
             continue
-        packed = np.frombuffer(
-            b"".join(masks[i].to_bytes(nbytes, "little") for i in members),
-            dtype=np.uint8,
-        ).reshape(members.size, nbytes)
-        bits = np.unpackbits(packed, axis=1, bitorder="little").astype(np.float32)
+        bits = segment_bits([masks[i] for i in members]).astype(np.float32)
         conflict = (bits @ bits.T) > 0
         np.fill_diagonal(conflict, False)
         group_of[members] = len(groups)

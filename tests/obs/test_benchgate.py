@@ -33,8 +33,9 @@ def _with(gate, **bounds):
 
 
 def _rows(gate, rows, baseline, **bounds):
-    """Gate ``rows`` as the single section of ``gate``."""
-    (section,) = gate.sections
+    """Gate ``rows`` as the first section of ``gate`` (any later section
+    is measured empty)."""
+    section = gate.sections[0]
     return compare(_with(gate, **bounds), {section.name: rows}, baseline)
 
 
@@ -137,6 +138,36 @@ class TestCompareRepair:
         )
         assert len(report.violations) == 2
         assert {v.kind for v in report.violations} == {"missing-baseline"}
+
+
+_CASCADE_ROW = {
+    "case": "swing-stuck-mrr", "n": 128, "transfers": 24448, "repairs": 14,
+    "cascades": 130, "fallbacks": 4, "repair_s": 2.5,
+}
+
+
+class TestCompareRepairCascade:
+    def _gate(self, **over):
+        row = dict(_CASCADE_ROW, **over)
+        return compare(REPAIR, {"cascade": [row]}, {"cascade": [dict(_CASCADE_ROW)]})
+
+    def test_pass_ignores_wall_clock(self):
+        report = self._gate(repair_s=60.0)
+        assert report.ok
+        assert len(report.checked) == 4
+
+    @pytest.mark.parametrize("field", ["transfers", "repairs", "cascades", "fallbacks"])
+    def test_counts_are_exact(self, field):
+        report = self._gate(**{field: _CASCADE_ROW[field] - 1})
+        assert [(v.metric, v.kind) for v in report.violations] == [
+            (f"repair.cascade.swing-stuck-mrr.n128.{field}", "exact")
+        ]
+
+    def test_committed_rows_gate_exactly(self):
+        committed = json.loads((REPO_ROOT / "BENCH_repair.json").read_text())
+        assert [
+            (row["n"], row["cascades"], row["fallbacks"]) for row in committed["cascade"]
+        ] == [(64, 66, 4), (128, 130, 4)]
 
 
 class TestCompareFaults:

@@ -19,21 +19,26 @@ full recolor — counted under ``rwa.repair_fallback`` — rather than
 returning a half-pinned coloring.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend.errors import BackendError
 from repro.backend.plancache import PlanCache
 from repro.check.context import optical_context
 from repro.check.engine import verify_plan
 from repro.check.findings import errors
 from repro.collectives import build_wrht_schedule
+from repro.collectives.registry import build_schedule
 from repro.faults.models import CutFiber, DeadWavelength, FaultSet, MrrPortFault
 from repro.obs.metrics import MetricsRegistry
 from repro.optical.config import OpticalSystemConfig
 from repro.optical.network import OpticalRingNetwork
 from repro.optical.repair import (
     DEFAULT_MAX_AFFECTED_FRAC,
+    RepairValidationError,
     RwaContext,
     capture_solution,
     repair_rounds,
@@ -42,6 +47,7 @@ from repro.optical.repair import (
 )
 from repro.optical.rwa import plan_rounds
 from repro.optical.topology import RingTopology
+from repro.runner.faultsweep import default_fault_scenarios
 
 N, W = 16, 8
 
@@ -220,3 +226,55 @@ class TestRepairPlanParity:
         )
         with pytest.raises(ValueError, match="random_fit"):
             net.repair_network(FaultSet.of(DeadWavelength(0)))
+
+
+class TestKeptRounds:
+    """A repaired network solves each pattern once; the verifier audits the
+    kept rounds. Re-deriving them from scratch must give the same rounds
+    and the same circuits, so auditing the kept ones loses nothing."""
+
+    @pytest.mark.parametrize("algo", ["wrht", "swing", "rd"])
+    @pytest.mark.parametrize(
+        "scenario", ["dead-wavelength", "stuck-mrr", "laser-droop"]
+    )
+    def test_fresh_repair_reproduces_priced_rounds(self, algo, scenario):
+        n, w = 32, 8
+        kwargs = {"n_wavelengths": w} if algo == "wrht" else {}
+        schedule = build_schedule(algo, n, 100_000, **kwargs)
+        metrics = MetricsRegistry(enabled=True)
+        base = OpticalRingNetwork(
+            OpticalSystemConfig(n_nodes=n, n_wavelengths=w),
+            keep_solutions=True, plan_cache=PlanCache(), metrics=metrics,
+        )
+        base.lower(schedule, 4.0)
+        faults = default_fault_scenarios(n, w)[scenario]
+        _plan, priced = base.repair_plan(schedule, faults)
+        fresh = base.repair_network(faults)
+        for step, _count, _key in schedule.lowering_profile():
+            kept = priced._solutions[step.transfers].rounds
+            calls = metrics.snapshot().counters.get("rwa.repair_calls", 0)
+            audited = priced.plan_step_rounds(step, 4.0, validate=False)
+            # The audit reads the kept rounds: no second repair.
+            assert metrics.snapshot().counters.get("rwa.repair_calls", 0) == calls
+            rederived = fresh.plan_step_rounds(step, 4.0, validate=False)
+            assert fresh._solutions[step.transfers].rounds == kept
+            assert rederived == audited
+
+
+class TestValidationError:
+    def test_duplicated_index_raises_typed_error_that_pickles(self):
+        topo = RingTopology(8)
+        routes = [topo.cw_route(0, 2), topo.cw_route(3, 5)]
+        ctx = RwaContext(n_segments=8, n_wavelengths=4)
+        corrupted = [{0: (0, 0), 1: (0, 1)}, {0: (0, 2)}]
+        with pytest.raises(BackendError) as info:
+            validate_rounds(routes, route_masks(routes), corrupted, ctx)
+        err = info.value
+        assert isinstance(err, RepairValidationError)
+        assert not isinstance(err, AssertionError)
+        assert str(err) == "transfer 0 assigned twice"
+        clone = pickle.loads(pickle.dumps(err))
+        assert type(clone) is RepairValidationError
+        assert (clone.args, clone.backend, clone.step_index) == (
+            err.args, err.backend, err.step_index,
+        )
