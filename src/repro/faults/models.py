@@ -34,6 +34,7 @@ Fault semantics
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Union
 
 from repro.core.constraints import OpticalPhyParams
@@ -135,6 +136,9 @@ def _matches_direction(fault_direction: str | None, direction: Direction) -> boo
     return fault_direction is None or fault_direction == direction.value
 
 
+_NO_BANS: frozenset[int] = frozenset()
+
+
 @dataclass(frozen=True)
 class FaultSet:
     """An order-normalized, hashable collection of faults.
@@ -199,16 +203,38 @@ class FaultSet:
         """Total laser-power droop in dB (droops stack additively in dB)."""
         return sum(f.droop_db for f in self.faults if isinstance(f, PowerDroop))
 
+    # Lookup views behind ``is_cut`` and ``endpoint_blocked``, built once
+    # per set on first use. The set is frozen, so they never go stale;
+    # ``cached_property`` keeps them out of the dataclass fields, so
+    # ``repr``, ``==`` and ``hash`` (and with them every plan-cache key)
+    # are unchanged. Each view holds one entry per ring direction, CW
+    # then CCW, picked by an identity test: hashing a ``Direction`` runs
+    # ``Enum.__hash__`` in Python and would cost more than the lookup.
+    @cached_property
+    def _cut_segments(self) -> tuple[frozenset[int], frozenset[int]]:
+        return tuple(
+            frozenset(
+                f.segment
+                for f in self.faults
+                if isinstance(f, CutFiber) and _matches_direction(f.direction, d)
+            )
+            for d in (Direction.CW, Direction.CCW)
+        )
+
+    @cached_property
+    def _endpoint_bans(self) -> tuple[dict[int, frozenset[int]], ...]:
+        views = []
+        for d in (Direction.CW, Direction.CCW):
+            bans: dict[int, set[int]] = {}
+            for f in self.port_faults:
+                if _matches_direction(f.direction, d):
+                    bans.setdefault(f.node, set()).add(f.wavelength)
+            views.append({node: frozenset(lams) for node, lams in bans.items()})
+        return tuple(views)
+
     def is_cut(self, segment: int, direction: Direction) -> bool:
         """Whether ``segment`` is severed for ``direction``."""
-        for f in self.faults:
-            if (
-                isinstance(f, CutFiber)
-                and f.segment == segment
-                and _matches_direction(f.direction, direction)
-            ):
-                return True
-        return False
+        return segment in self._cut_segments[direction is Direction.CCW]
 
     def endpoint_blocked(self, node: int, direction: Direction) -> frozenset[int]:
         """Wavelengths ``node`` cannot add/drop on ``direction``'s interface.
@@ -216,11 +242,7 @@ class FaultSet:
         Covers both port-fault modes: a dead port cannot terminate the
         wavelength, and a stuck-dropping port is no more able to.
         """
-        return frozenset(
-            f.wavelength
-            for f in self.port_faults
-            if f.node == node and _matches_direction(f.direction, direction)
-        )
+        return self._endpoint_bans[direction is Direction.CCW].get(node, _NO_BANS)
 
     def segment_quarantine_masks(self, n_nodes: int) -> dict[tuple[Direction, int], int]:
         """Pre-occupied segment bitmask per (direction, wavelength).

@@ -22,11 +22,23 @@ lowering prices each distinct pattern once and the fold multiplies — Ring
 All-reduce at N=4096 (8190 steps) costs two RWA computations, not 33 million
 transfer events. The correctness of that compression is property-tested
 against uncompressed execution.
+
+Who sends to whom sets a step's rounds; the payload only scales each
+round's serialization (Eq 6). So a network also solves each ordered
+(src, dst) sequence once: routing, RWA and both validators run on the
+first pattern with that sequence, and every further payload (another chunk
+size, or the copy half of a schedule) is priced from the kept rounds'
+transfer indices. Networks whose solve depends on more than the pairs
+(``random_fit``, kept or repaired solutions, a disabled plan cache) solve
+every pattern.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,6 +121,14 @@ class OpticalRunResult:
         return sum(t.rounds * t.count for t in self.step_timings)
 
 
+class _SolvedRound(NamedTuple):
+    """One round of a solved step pattern, without its payloads."""
+
+    indices: np.ndarray  # transfer indices in assignment order
+    peak_wavelength: int
+    claims: tuple
+
+
 class OpticalRingNetwork:
     """The optical interconnect substrate's schedule executor."""
 
@@ -152,6 +172,18 @@ class OpticalRingNetwork:
         self.keep_solutions = keep_solutions
         self.paranoid_repair = paranoid_repair
         self._solutions: dict[tuple, "object"] = {}
+        # Solved step patterns, keyed by the ordered (src, dst) sequence
+        # and the partition half: the rounds do not depend on the payload,
+        # so a new chunk size (or the copy half of a schedule) is priced
+        # from these without routing or RWA. Bounded by the plan cache's
+        # maxsize, oldest dropped first; see ``_solve_pattern``.
+        self._solved: OrderedDict[tuple, tuple[_SolvedRound, ...]] = OrderedDict()
+        # The latest ``plan_step_rounds`` solve (assignments, payloads,
+        # durations), which ``_solve_pattern`` reads back to fill the table.
+        # Held here rather than on the returned circuit lists, so callers
+        # that keep those lists (the live DES, the verifier) keep nothing
+        # more than before.
+        self._last_solve: tuple | None = None
         self._repair_base = repair_from
         if repair_from is not None:
             if strategy == "random_fit":
@@ -205,7 +237,13 @@ class OpticalRingNetwork:
 
         Patterns are priced once per call (per-plan dedup) and memoized in
         the cross-run plan cache for deterministic strategies; repeats are
-        marked ``replay`` so execution can trace them compactly.
+        marked ``replay`` so execution can trace them compactly. A plan-
+        cache miss whose ordered (src, dst) sequence this network has
+        already solved is priced from the kept rounds without routing or
+        RWA (counted as ``rwa.solve_reused``). That reuse runs only where
+        the solve depends on the pairs alone: the cache is enabled, the
+        strategy is deterministic, and the network neither keeps solutions
+        for repair nor repairs a base's.
 
         With ``partition=True`` (the reconfigure-vs-hold estimator's *hold*
         variant) adjacent profile entries are confined to alternating
@@ -244,6 +282,13 @@ class OpticalRingNetwork:
         # RNG draws an uncached run performs, changing every later
         # assignment in the stream).
         use_cache = self.plan_cache.enabled and self.strategy != "random_fit"
+        # Keep and repair networks must capture or repair every pattern's
+        # own transfers, so they always solve.
+        reuse = (
+            use_cache and not self.keep_solutions and self._repair_base is None
+        )
+        if not reuse:
+            self._solved.clear()
         half = self.config.n_wavelengths // 2
         lower_half = frozenset(range(half))
         upper_half = frozenset(range(half, self.config.n_wavelengths))
@@ -262,7 +307,7 @@ class OpticalRingNetwork:
             if rounds is None:
                 try:
                     rounds = self._price_pattern(
-                        step, key, bytes_per_elem, use_cache, counters,
+                        step, key, bytes_per_elem, use_cache, reuse, counters,
                         extra_blocked=extra_blocked,
                     )
                 except BackendError as exc:
@@ -439,11 +484,12 @@ class OpticalRingNetwork:
         Shared by the lowering path below, the live event-driven simulation
         (:mod:`repro.optical.livesim`) and the static plan verifier
         (:mod:`repro.check`), so every view of a step has the identical
-        round structure. ``validate`` (default on) runs the runtime checks
-        on every round; the verifier passes ``False`` so that defects
-        surface as findings instead of exceptions. ``extra_blocked`` bans
-        additional wavelength indices for this step only (the hold
-        variant's alternating partition).
+        round structure. Always solves: the lowering's solved-pattern table
+        sits in front of this method, not inside it. ``validate`` (default
+        on) runs the runtime checks on every round; the verifier passes
+        ``False`` so that defects surface as findings instead of
+        exceptions. ``extra_blocked`` bans additional wavelength indices
+        for this step only (the hold variant's alternating partition).
         """
         transfers = list(step.transfers)
         if validate and self._dead_nodes:
@@ -471,14 +517,7 @@ class OpticalRingNetwork:
                 for t, r in zip(transfers, routes)
             ]
         rounds = self._solve_rounds(step, routes, route_blocked, extra_blocked)
-        # Vectorized pricing: payloads and durations for the whole step in
-        # one numpy pass, bit-identical element-wise to the scalar
-        # CostModel.payload_time path (see payload_times).
-        payloads = (
-            np.array([t.n_elems for t in transfers], dtype=np.float64)
-            * bytes_per_elem
-        )
-        durations = self._cost.payload_times(payloads)
+        payloads, durations = self._payload_arrays(transfers, bytes_per_elem)
         circuit_rounds: list[list[Circuit]] = []
         for assignment in rounds:
             circuits = [
@@ -496,7 +535,21 @@ class OpticalRingNetwork:
                     mrrs_per_interface=self.config.n_wavelengths,
                 )
             circuit_rounds.append(circuits)
+        self._last_solve = (rounds, payloads, durations)
         return circuit_rounds
+
+    def _payload_arrays(
+        self, transfers, bytes_per_elem: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Payload bytes and serialization seconds of every transfer, in
+        one numpy pass each: bit-identical element-wise to the scalar
+        ``CostModel.payload_time`` path (see ``payload_times``), which
+        also rejects a negative payload."""
+        payloads = (
+            np.array([t.n_elems for t in transfers], dtype=np.float64)
+            * bytes_per_elem
+        )
+        return payloads, self._cost.payload_times(payloads)
 
     def _rwa_context(
         self,
@@ -666,13 +719,18 @@ class OpticalRingNetwork:
         pattern_key: tuple,
         bytes_per_elem: float,
         use_cache: bool,
+        reuse: bool,
         counters: PlanCacheCounters,
         extra_blocked: frozenset[int] | None = None,
     ) -> tuple[CachedRound, ...]:
         """Priced round summary for one pattern, via the cross-run cache.
 
         ``pattern_key`` already encodes any partition parity, so a
-        partitioned summary can never alias a full-budget one.
+        partitioned summary can never alias a full-budget one. On a miss
+        the rounds come from :meth:`_solve_pattern` and every payload is
+        priced from arrays: each round's slowest duration is a max, its
+        bytes a left-to-right sum in assignment order, the same floats in
+        the same order as summing over the round's circuits.
         """
         if use_cache:
             key = (pattern_key, self._plan_key_base, bytes_per_elem)
@@ -682,23 +740,73 @@ class OpticalRingNetwork:
                 return cached
             counters.misses += 1
         with self.metrics.span("optical.price_pattern"):
-            circuit_rounds = self.plan_step_rounds(
-                step, bytes_per_elem, extra_blocked=extra_blocked
+            solved, payloads, durations = self._solve_pattern(
+                step, bytes_per_elem, reuse, extra_blocked
             )
-        capture = self._capture_claims
-        summary = tuple(
-            CachedRound(
-                n_circuits=len(circuits),
-                max_payload_s=max(c.duration for c in circuits),
-                peak_wavelength=max(c.wavelength for c in circuits) + 1,
-                payload_bytes=sum(c.payload_bytes for c in circuits),
-                claims=round_claims(circuits) if capture else (),
+            summary = tuple(
+                CachedRound(
+                    n_circuits=len(rnd.indices),
+                    max_payload_s=float(durations[rnd.indices].max()),
+                    peak_wavelength=rnd.peak_wavelength,
+                    payload_bytes=sum(payloads[rnd.indices].tolist()),
+                    claims=rnd.claims,
+                )
+                for rnd in solved
             )
-            for circuits in circuit_rounds
-        )
         if use_cache:
             counters.evictions += self.plan_cache.put(key, summary)
         return summary
+
+    def _solve_pattern(
+        self,
+        step: CommStep,
+        bytes_per_elem: float,
+        reuse: bool,
+        extra_blocked: frozenset[int] | None,
+    ) -> tuple[tuple[_SolvedRound, ...], np.ndarray, np.ndarray]:
+        """``step``'s payload-free rounds and its payload arrays.
+
+        With ``reuse``, a step whose ordered (src, dst) sequence and
+        partition half this network has solved before takes the kept
+        rounds: routing, RWA and both validators read only routes,
+        channels and endpoints, none of which depends on the payload.
+        Order is part of the key because DSATUR breaks ties by transfer
+        index. Otherwise the step is solved (and validated) through
+        :meth:`plan_step_rounds`, and kept when ``reuse`` holds.
+        """
+        key = None
+        if reuse:
+            transfers = step.transfers
+            pairs = np.fromiter(
+                chain.from_iterable((t.src, t.dst) for t in transfers),
+                dtype=np.int64, count=2 * len(transfers),
+            )
+            key = (pairs.tobytes(), extra_blocked)
+            solved = self._solved.get(key)
+            if solved is not None:
+                self._solved.move_to_end(key)
+                if self.metrics.enabled:
+                    self.metrics.inc("rwa.solve_reused")
+                return (solved, *self._payload_arrays(transfers, bytes_per_elem))
+        circuit_rounds = self.plan_step_rounds(
+            step, bytes_per_elem, extra_blocked=extra_blocked
+        )
+        assignments, payloads, durations = self._last_solve
+        self._last_solve = None
+        capture = self._capture_claims
+        solved = tuple(
+            _SolvedRound(
+                indices=np.fromiter(assignment, dtype=np.intp, count=len(assignment)),
+                peak_wavelength=max(c.wavelength for c in circuits) + 1,
+                claims=round_claims(circuits) if capture else (),
+            )
+            for assignment, circuits in zip(assignments, circuit_rounds)
+        )
+        if key is not None:
+            self._solved[key] = solved
+            while len(self._solved) > self.plan_cache.maxsize:
+                self._solved.popitem(last=False)
+        return solved, payloads, durations
 
     def _timing_from_rounds(
         self,

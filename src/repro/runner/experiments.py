@@ -134,9 +134,10 @@ def _cell_seconds(spec: CellSpec, service: str | None = None) -> float:
 def clear_network_caches() -> None:
     """Drop the per-process backend instances (benchmark hygiene).
 
-    The next experiment call rebuilds its backends from scratch; the
-    cross-run plan cache (:mod:`repro.backend.plancache`) is separate and
-    unaffected.
+    The next experiment call rebuilds its backends from scratch, so each
+    optical network's table of solved (src, dst) sequences goes with them;
+    the cross-run plan cache (:mod:`repro.backend.plancache`) is separate
+    and unaffected.
     """
     _BACKENDS.clear()
 

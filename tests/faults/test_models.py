@@ -1,6 +1,10 @@
 """Fault model tests: normalization, derived views, validation."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.constraints import OpticalPhyParams
 from repro.faults.models import (
@@ -15,6 +19,7 @@ from repro.faults.models import (
 )
 from repro.optical.config import OpticalSystemConfig
 from repro.optical.topology import Direction
+from repro.service.store import key_digest
 
 
 class TestFaultSetNormalization:
@@ -102,6 +107,78 @@ class TestDerivedViews:
         phy = OpticalPhyParams()
         assert EMPTY_FAULTS.effective_phy(phy) is phy
         assert FaultSet.of(PowerDroop(1.0)).effective_phy(None) is None
+
+
+def _is_cut_scan(fs, segment, direction):
+    """``FaultSet.is_cut`` as it was: a scan over every fault."""
+    return any(
+        isinstance(f, CutFiber)
+        and f.segment == segment
+        and (f.direction is None or f.direction == direction.value)
+        for f in fs.faults
+    )
+
+
+def _endpoint_blocked_scan(fs, node, direction):
+    """``FaultSet.endpoint_blocked`` as it was: a filter over port faults."""
+    return frozenset(
+        f.wavelength
+        for f in fs.port_faults
+        if f.node == node and (f.direction is None or f.direction == direction.value)
+    )
+
+
+_DIRS = st.sampled_from([None, "cw", "ccw"])
+_FAULTS = st.one_of(
+    st.builds(DeadWavelength, st.integers(0, 5)),
+    st.builds(
+        MrrPortFault, st.integers(0, 7), st.integers(0, 5),
+        st.sampled_from(["dead", "stuck"]), _DIRS,
+    ),
+    st.builds(CutFiber, st.integers(0, 7), _DIRS),
+    st.builds(DroppedNode, st.integers(0, 7)),
+    st.builds(PowerDroop, st.sampled_from([0.5, 1.0])),
+)
+
+
+class TestCachedViews:
+    """``is_cut``/``endpoint_blocked`` answer from views built once per
+    set; they must agree with the per-call scans they replaced and leave
+    the set's identity (every plan-cache key embeds it) untouched."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(faults=st.lists(_FAULTS, max_size=8))
+    def test_views_match_scans(self, faults):
+        fs = FaultSet(tuple(faults))
+        for node in range(9):
+            for direction in Direction:
+                assert fs.is_cut(node, direction) == _is_cut_scan(fs, node, direction)
+                assert fs.endpoint_blocked(node, direction) == (
+                    _endpoint_blocked_scan(fs, node, direction)
+                )
+
+    @settings(max_examples=50, deadline=None)
+    @given(faults=st.lists(_FAULTS, max_size=8))
+    def test_views_leave_identity_unchanged(self, faults):
+        fs = FaultSet(tuple(faults))
+        fresh = FaultSet(tuple(faults))
+        before = (repr(fs), hash(fs), key_digest((fs, "first_fit")))
+        fs.is_cut(0, Direction.CW)
+        fs.endpoint_blocked(0, Direction.CCW)
+        assert (repr(fs), hash(fs), key_digest((fs, "first_fit"))) == before
+        assert fs == fresh and hash(fs) == hash(fresh)
+        clone = pickle.loads(pickle.dumps(fs))
+        assert clone == fs and repr(clone) == repr(fs)
+        assert clone.endpoint_blocked(0, Direction.CW) == fs.endpoint_blocked(
+            0, Direction.CW
+        )
+
+    def test_views_built_once(self):
+        fs = FaultSet.of(MrrPortFault(3, 1), CutFiber(2, direction="cw"))
+        assert fs.endpoint_blocked(3, Direction.CW) is fs.endpoint_blocked(
+            3, Direction.CW
+        )
+        assert fs._cut_segments is fs._cut_segments
 
 
 class TestValidation:
