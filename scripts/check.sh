@@ -5,12 +5,12 @@
 #
 # Stages:
 #   1. ruff (when available — CI images that lack it skip with a notice)
-#   2. repro.check lint  (REP001-REP008 AST pass over src; REP004 retired)
-#   3. repro.check flow  (CONC/DET call-graph rules over src; pure AST,
-#      so it stays in the --fast loop; writes flow.sarif.json for CI)
-#   4. repro.check plan verifier over the figure golden plans
-#   --fast stops here (lint + flow + verifier only — the seconds-scale
+#   2. repro.check lint  (the REP, CONC and DET AST rules over src)
+#   3. repro.check plan verifier over the figure golden plans
+#   --fast stops here (lint + verifier only — the seconds-scale
 #   pre-commit loop; see docs/TESTING.md). The full gate continues with:
+#   4. collectives smoke (every registered algorithm built, verified
+#      numerically and priced where a closed form exists)
 #   5. reconfiguration smoke (one overlapped cell per backend under a
 #      25 us MRR tuning model: optical plans PLAN-clean with the
 #      reconfigure-vs-hold decision logged, analytic overlap beating
@@ -52,9 +52,6 @@ fi
 
 echo "== repro.check lint =="
 python -m repro.check.lint src
-
-echo "== repro.check flow (CONC/DET call-graph rules) =="
-python -m repro.check flow src --sarif flow.sarif.json
 
 echo "== repro.check golden plans (optical) =="
 python -m repro.check check --backend optical

@@ -25,6 +25,7 @@ from repro.backend.plancache import PlanCache, PlanCacheCounters, default_plan_c
 from repro.collectives.base import Schedule
 from repro.collectives.registry import DISPLAY_NAMES
 from repro.core.timing import (
+    CLOSED_FORM_ALGORITHMS,
     CostModel,
     algorithm_time,
     analytic_profile,
@@ -127,9 +128,7 @@ class AnalyticBackend(Backend):
             hring_m = schedule.meta.get("m", _DEFAULT_HRING_M)
         elif schedule.algorithm == "scring":
             scring_pipeline = schedule.meta.get("pipeline", 1)
-        if display is None or display not in (
-            "Ring", "H-Ring", "BT", "RD", "WRHT", "Swing", "SCRing"
-        ):
+        if display not in CLOSED_FORM_ALGORITHMS:
             raise BackendConfigError(
                 f"no closed-form model for algorithm {schedule.algorithm!r}",
                 backend=self.name,

@@ -1,29 +1,21 @@
-"""Static analysis for the reproduction: plan verifier + AST lint + flow rules.
+"""Static analysis for the reproduction: plan verifier + AST lint.
 
-Three subsystems share this package:
+Two subsystems share this package:
 
 - the **plan verifier** (:mod:`repro.check.engine`,
   :mod:`repro.check.plan_rules`) proves properties of a lowered plan
   without executing it — wavelength exclusivity, port budgets, dataflow
   conservation, closed-form step counts, phy feasibility;
 - the **lint pass** (:mod:`repro.check.lint`) walks the repo's own source
-  with :mod:`ast` for reproduction-specific hazards (REP001–REP008);
-- the **flow pass** (:mod:`repro.check.flow`, on the call graph of
-  :mod:`repro.check.callgraph` and the effect lattices of
-  :mod:`repro.check.effects`) checks interprocedural async-safety and
-  determinism contracts (CONC001–CONC005, DET001–DET004), with SARIF
-  output via :mod:`repro.check.sarif`.
+  with :mod:`ast`, one file at a time, for reproduction-specific hazards
+  (REP), async-safety hazards (CONC) and determinism hazards (DET).
 
 Entry points::
 
     from repro.check import verify_plan, optical_context
     findings = verify_plan(context=optical_context(backend, schedule))
 
-    from repro.check import analyze_paths
-    findings = analyze_paths(["src"])
-
     $ python -m repro.check.lint src
-    $ python -m repro.check flow src --sarif flow.sarif.json
     $ wrht-repro check --backend optical --fig fig5
 
 This ``__init__`` stays import-light on purpose: :mod:`repro.collectives.base`
@@ -48,14 +40,12 @@ __all__ = [
     "CheckContext",
     "Claim",
     "Conflict",
-    "FLOW_RULES",
     "Finding",
     "IntervalSetMap",
     "PlanVerificationError",
     "Rule",
     "Severity",
     "all_rules",
-    "analyze_paths",
     "errors",
     "find_conflicts",
     "get_rule",
@@ -64,7 +54,6 @@ __all__ = [
     "register_rule",
     "render_findings",
     "run_rules",
-    "to_sarif",
     "verify_plan",
 ]
 
@@ -78,9 +67,6 @@ _LAZY = {
     "register_rule": "repro.check.engine",
     "run_rules": "repro.check.engine",
     "verify_plan": "repro.check.engine",
-    "FLOW_RULES": "repro.check.flow",
-    "analyze_paths": "repro.check.flow",
-    "to_sarif": "repro.check.sarif",
 }
 
 

@@ -11,13 +11,8 @@ Two subcommands:
     Exit status 1 on any ERROR finding.
 
 ``lint``
-    The REP001–REP008 AST pass (same as ``python -m repro.check.lint``).
-
-``flow``
-    The call-graph-aware concurrency/determinism pass
-    (CONC001–CONC005, DET001–DET004; see :mod:`repro.check.flow`).
-    ``--sarif out.json`` additionally writes a SARIF 2.1.0 report for CI
-    annotation. Exit status 1 on any ERROR finding.
+    The REP, CONC and DET AST pass (same as ``python -m repro.check.lint``;
+    see :mod:`repro.check.lint` for the rule catalog).
 
 Golden plans use the figures' real communication geometry with a compact
 gradient vector: routing, wavelength assignment and step structure depend
@@ -30,7 +25,6 @@ Examples::
     $ wrht-repro check --backend optical --fig fig5
     $ python -m repro.check check --fig fig6 --backend analytic
     $ python -m repro.check lint src
-    $ python -m repro.check flow src --sarif flow.sarif.json
 """
 
 from __future__ import annotations
@@ -139,7 +133,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the REP lint pass (delegates to :mod:`repro.check.lint`)."""
+    """Run the lint pass (delegates to :mod:`repro.check.lint`)."""
     from repro.check.lint import main as lint_main
 
     argv = [str(p) for p in args.paths]
@@ -148,44 +142,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(argv)
 
 
-def cmd_flow(args: argparse.Namespace) -> int:
-    """Run the call-graph flow rules (CONC/DET families)."""
-    from repro.check.flow import FLOW_RULES, analyze_paths
-    from repro.check.sarif import write_sarif
-
-    if args.list_rules:
-        for rule_id in sorted(FLOW_RULES):
-            print(f"{rule_id}  {FLOW_RULES[rule_id]}")
-        return 0
-    select = None
-    if args.select:
-        select = {r.strip() for r in args.select.split(",") if r.strip()}
-        unknown = select - set(FLOW_RULES)
-        if unknown:
-            print(
-                f"unknown rule id(s): {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(sorted(FLOW_RULES))}",
-                file=sys.stderr,
-            )
-            return 2
-    findings = analyze_paths(args.paths, select=select)
-    if args.sarif:
-        write_sarif(findings, args.sarif, rule_catalog=FLOW_RULES)
-    for finding in findings:
-        print(finding.render())
-    bad = errors(findings)
-    scope = ", ".join(sorted(select)) if select else "all flow rules"
-    print(
-        f"flow: {len(findings)} finding(s), {len(bad)} error(s) ({scope})"
-    )
-    return 1 if bad else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``repro.check`` CLI parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.check",
-        description="Static verification: plan rules and the REP lint pass.",
+        description="Static verification: plan rules and the AST lint pass.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -206,28 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print every verified cell")
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("lint", help="run the REP001-REP005 AST lint")
+    p = sub.add_parser("lint", help="run the REP/CONC/DET AST lint")
     p.add_argument("paths", nargs="+", help="files or directories to lint")
     p.add_argument("--select", help="comma-separated rule ids")
     p.set_defaults(fn=cmd_lint)
-
-    p = sub.add_parser(
-        "flow", help="run the CONC/DET call-graph flow rules"
-    )
-    p.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to analyze (default: src)",
-    )
-    p.add_argument("--select", help="comma-separated CONC/DET rule ids")
-    p.add_argument(
-        "--sarif", metavar="PATH",
-        help="also write a SARIF 2.1.0 report to PATH",
-    )
-    p.add_argument(
-        "--list-rules", action="store_true",
-        help="print the flow rule catalog and exit",
-    )
-    p.set_defaults(fn=cmd_flow)
     return parser
 
 

@@ -16,12 +16,7 @@ dataflow rule assumes complete All-reduce schedules while many fixtures
 lower deliberately partial synthetic ones. The full catalog runs in the
 dedicated ``tests/check`` suite and the ``wrht-repro check`` CLI.
 
-Opt out for a run with ``pytest --no-plan-verify``. Opt *in* to the
-call-graph flow rules (CONC/DET, see :mod:`repro.check.flow`) with
-``pytest --flow-check``: the whole ``src`` tree is analyzed once at
-session start and any finding fails the session before tests run (the
-same gate ``scripts/check.sh`` applies; the option exists so a plain
-pytest invocation can reproduce it).
+Opt out for a run with ``pytest --no-plan-verify``.
 """
 
 from __future__ import annotations
@@ -58,32 +53,17 @@ def _verified_lower(cls) -> None:
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
-    """Register ``--no-plan-verify`` and ``--flow-check``."""
+    """Register ``--no-plan-verify``."""
     parser.addoption(
         "--no-plan-verify",
         action="store_true",
         default=False,
         help="skip static verification of lowered plans",
     )
-    parser.addoption(
-        "--flow-check",
-        action="store_true",
-        default=False,
-        help="run the CONC/DET flow rules over src before the session",
-    )
 
 
 def pytest_configure(config: pytest.Config) -> None:
     """Install the verifying wrappers around the ``lower()`` seams."""
-    if config.getoption("--flow-check"):
-        from repro.check.findings import render_findings
-        from repro.check.flow import analyze_paths
-
-        findings = analyze_paths([str(config.rootpath / "src")])
-        if findings:
-            raise pytest.UsageError(
-                "flow check failed:\n" + render_findings(findings)
-            )
     if config.getoption("--no-plan-verify"):
         return
     from repro.backend.analytic import AnalyticBackend

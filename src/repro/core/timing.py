@@ -351,6 +351,12 @@ def reconfig_exposed_time(
     return total
 
 
+#: Display names :func:`algorithm_time` has a closed form for: the
+#: algorithms the analytic backend and the planning service accept.
+#: DBTree is registered but has none.
+CLOSED_FORM_ALGORITHMS = ("Ring", "H-Ring", "BT", "RD", "WRHT", "Swing", "SCRing")
+
+
 def algorithm_time(
     name: str,
     n_nodes: int,
@@ -367,8 +373,7 @@ def algorithm_time(
     """Dispatch helper used by the experiment runner.
 
     Args:
-        name: One of ``"Ring"``, ``"H-Ring"``, ``"BT"``, ``"RD"``, ``"WRHT"``,
-            ``"Swing"``, ``"SCRing"``.
+        name: One of :data:`CLOSED_FORM_ALGORITHMS`.
         n_nodes: N.
         d_bytes: Gradient bytes per node.
         model: Cost parameters.

@@ -128,6 +128,9 @@ class PacketLevelNetwork:
                             done.succeed(sim.now)
 
         used_links = {lid for r in routes for lid in r.links}
+        # DET002: link ids are small ints, whose set order no hash seed
+        # moves; it fixes the forwarders' DES start order, which sorted()
+        # would change.
         for link_id in used_links:
             sim.process(forwarder(link_id), name=f"fwd{link_id}")
 

@@ -318,7 +318,7 @@ class FaultSet:
         against the replanned RWA.
         """
         direction = circuit.route.direction
-        segments = set(circuit.route.segments)
+        segments = circuit.route.segments
         if circuit.wavelength in self.dead_wavelengths:
             return True
         src, dst = circuit.transfer.src, circuit.transfer.dst

@@ -228,7 +228,7 @@ class TorusOpticalNetwork:
             n_segments=self.topology.n_virtual_segments,
             n_wavelengths=self.config.n_wavelengths,
             fibers_per_direction=self.config.fibers_per_direction,
-            blocked=self.config.failed_wavelengths,
+            blocked=self.config.dead_wavelengths,
         )
         summary = tuple(
             CachedRound(

@@ -309,11 +309,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv[:1] == ["check"]:
         # Forward verbatim: argparse REMAINDER drops leading optionals, so
         # the check subcommand's flags are parsed by its own parser.
-        # ``check lint …`` / ``check flow …`` select that parser's
-        # corresponding subcommand.
+        # ``check lint …`` selects that parser's lint subcommand.
         from repro.check.cli import main as check_main
 
-        if argv[1:2] in (["lint"], ["flow"]):
+        if argv[1:2] == ["lint"]:
             return check_main(argv[1:])
         return check_main(argv)
     args = build_parser().parse_args(argv)

@@ -34,6 +34,7 @@ from repro.backend.plancache import (
     default_plan_cache,
     delta_salted_key,
 )
+from repro.core.timing import CLOSED_FORM_ALGORITHMS
 from repro.faults.models import (
     CutFiber,
     DeadWavelength,
@@ -47,8 +48,8 @@ from repro.obs.manifest import fingerprint
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.service.errors import ServiceRequestError
 
-#: Algorithms a request may name (the experiment display names).
-ALGORITHMS = ("Ring", "H-Ring", "BT", "RD", "WRHT", "Swing", "SCRing")
+#: Algorithms a request may name: the display names with a closed form.
+ALGORITHMS = CLOSED_FORM_ALGORITHMS
 
 
 # -- fault wire codec ---------------------------------------------------

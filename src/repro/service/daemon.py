@@ -179,7 +179,9 @@ class PlanningService:
         finally:
             if conn_task is not None:
                 self._connections.discard(conn_task)
-            for task in tasks:
+            # A snapshot: each finished task's done-callback discards it
+            # from ``tasks``, which must not happen under the iteration.
+            for task in list(tasks):
                 with contextlib.suppress(asyncio.CancelledError, Exception):
                     await task
             with contextlib.suppress(Exception):

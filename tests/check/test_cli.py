@@ -39,41 +39,42 @@ class TestCheckCommand:
 
 
 class TestFlowCommand:
+    """The CONC/DET rules (once a separate ``flow`` pass) through ``lint``."""
+
+    CONC_DET = "CONC001,CONC002,CONC003,CONC004,CONC005,DET001,DET002,DET004"
+
     def test_flow_clean_on_src(self, capsys):
-        assert main(["flow", "src"]) == 0
-        assert "0 error(s)" in capsys.readouterr().out
-
-    def test_flow_flags_violation_and_writes_sarif(self, tmp_path, capsys):
-        bad = tmp_path / "svc.py"
-        bad.write_text(
-            "import time\n\n\nasync def handler():\n    time.sleep(1)\n"
-        )
-        sarif = tmp_path / "flow.sarif.json"
-        assert main(["flow", str(tmp_path), "--sarif", str(sarif)]) == 1
-        assert "CONC001" in capsys.readouterr().out
-        import json
-
-        log = json.loads(sarif.read_text())
-        assert log["version"] == "2.1.0"
-        assert log["runs"][0]["results"][0]["ruleId"] == "CONC001"
+        assert main(["lint", "src", "--select", self.CONC_DET]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_flow_select_restricts_rules(self, tmp_path, capsys):
         bad = tmp_path / "svc.py"
         bad.write_text(
             "import time\n\n\nasync def handler():\n    time.sleep(1)\n"
         )
-        assert main(["flow", str(tmp_path), "--select", "DET001"]) == 0
+        assert main(["lint", str(tmp_path), "--select", "DET001"]) == 0
         assert "CONC001" not in capsys.readouterr().out
+        assert main(["lint", str(tmp_path), "--select", "CONC001"]) == 1
+        assert "CONC001" in capsys.readouterr().out
 
     def test_flow_unknown_rule_rejected(self, capsys):
-        assert main(["flow", "src", "--select", "NOPE999"]) == 2
+        # DET003 is retired and its id is never reused.
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", "src", "--select", "DET003"])
+        assert exc.value.code == 2
         assert "unknown rule" in capsys.readouterr().err
 
     def test_flow_list_rules(self, capsys):
-        assert main(["flow", "--list-rules"]) == 0
+        from repro.check.lint import main as lint_main
+
+        assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("CONC001", "CONC005", "DET001", "DET004"):
+        for rule_id in (
+            "CONC001", "CONC002", "CONC003", "CONC004", "CONC005",
+            "DET001", "DET002", "DET004",
+        ):
             assert rule_id in out
+        assert "DET003" not in out
 
 
 class TestParser:
@@ -89,9 +90,3 @@ class TestParser:
         )
         assert code == 0
         assert "clean" in capsys.readouterr().out
-
-    def test_runner_cli_forwards_check_flow(self, capsys):
-        from repro.runner.cli import main as runner_main
-
-        assert runner_main(["check", "flow", "src"]) == 0
-        assert "0 error(s)" in capsys.readouterr().out

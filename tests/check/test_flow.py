@@ -1,29 +1,34 @@
-"""Adversarial fixtures for the CONC/DET flow rules (repro.check.flow).
+"""Adversarial fixtures for the CONC/DET rules of the lint pass.
 
 Each rule id gets at least one injected violation asserting the exact id
 fires, plus a near-miss fixture asserting it stays quiet. The suppression
-pragma, the SARIF emitter, and the "repo src is clean" gate are covered at
-the end.
+pragma, rule selection, SYNTAX findings and the "repo src is clean" gate
+are covered at the end. Every fixture is one file: the rules resolve calls
+to module functions and ``self.`` methods of that file.
 """
 
-import json
 import textwrap
 from pathlib import Path
 
 from repro.check.findings import Severity
-from repro.check.flow import FLOW_RULES, analyze_files, analyze_paths
-from repro.check.sarif import to_sarif
+from repro.check.lint import LINT_RULES, lint_paths, lint_source
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
+#: The async-safety and determinism rule ids.
+CONC_DET_RULES = {r for r in LINT_RULES if r.startswith(("CONC", "DET"))}
+
 
 def _ids(*files, select=None):
-    pairs = [(path, textwrap.dedent(source)) for path, source in files]
-    return [f.rule_id for f in analyze_files(pairs, select=select)]
+    return [
+        f.rule_id
+        for path, source in files
+        for f in lint_source(textwrap.dedent(source), path=path, select=select)
+    ]
 
 
 def _findings(source, select=None):
-    return analyze_files([("m.py", textwrap.dedent(source))], select=select)
+    return lint_source(textwrap.dedent(source), path="m.py", select=select)
 
 
 class TestConc001BlockingInAsync:
@@ -307,14 +312,18 @@ class TestDet002SetIterationOnLoweringPath:
                 return color(schedule)
         """)) == []
 
-    def test_set_iteration_off_lowering_path_passes(self):
+    def test_set_iteration_off_lowering_path_flagged(self):
+        # DET002 covers every function of a linted file, not only code a
+        # lowering entry point reaches.
         assert _ids(("m.py", """
             def summarize(nodes):
                 return [n for n in set(nodes)]
-        """)) == []
+        """)) == ["DET002"]
 
 
 class TestDet003UnseededRngFromLower:
+    """DET003 is retired: REP001 flags an unseeded RNG where it is built."""
+
     def test_rng_two_calls_below_lower_flagged(self):
         findings = _findings("""
             import random
@@ -328,8 +337,8 @@ class TestDet003UnseededRngFromLower:
             def lower(schedule):
                 return place(schedule)
         """)
-        assert [f.rule_id for f in findings] == ["DET003"]
-        assert "jitter" in findings[0].details.get("chain", "")
+        assert [f.rule_id for f in findings] == ["REP001"]
+        assert findings[0].location == "m.py:5"
 
     def test_seeded_rng_below_lower_passes(self):
         assert _ids(("m.py", """
@@ -380,7 +389,7 @@ class TestPragmasAndDriver:
 
             async def handler():
                 time.sleep(1)  # CONC001
-        """)) == ["CONC001"]
+        """)) == ["CONC001", "REP008"]  # the bare pragma is flagged too
 
     def test_select_restricts_rules(self):
         source = ("m.py", """
@@ -396,7 +405,7 @@ class TestPragmasAndDriver:
         assert sorted(_ids(source)) == ["CONC001", "DET001"]
 
     def test_syntax_error_becomes_finding(self):
-        findings = analyze_files([("bad.py", "def broken(:\n")])
+        findings = lint_source("def broken(:\n", path="bad.py")
         assert [f.rule_id for f in findings] == ["SYNTAX"]
         assert findings[0].severity is Severity.ERROR
 
@@ -413,44 +422,5 @@ class TestPragmasAndDriver:
 
 class TestRepoIsClean:
     def test_flow_rules_clean_on_src(self):
-        findings = analyze_paths([REPO_ROOT / "src"])
+        findings = lint_paths([REPO_ROOT / "src"], select=CONC_DET_RULES)
         assert findings == [], "\n".join(f.render() for f in findings)
-
-
-class TestSarif:
-    def test_sarif_2_1_0_shape(self):
-        findings = _findings("""
-            import time
-
-            async def handler():
-                time.sleep(1)
-        """)
-        log = to_sarif(findings, rule_catalog=FLOW_RULES)
-        assert log["version"] == "2.1.0"
-        assert log["$schema"].endswith("sarif-schema-2.1.0.json")
-        (run,) = log["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro.check.flow"
-        rule_ids = [rule["id"] for rule in driver["rules"]]
-        assert rule_ids == sorted(set(rule_ids))
-        assert set(FLOW_RULES) <= set(rule_ids)
-        (result,) = run["results"]
-        assert result["ruleId"] == "CONC001"
-        assert result["level"] == "error"
-        assert rule_ids[result["ruleIndex"]] == "CONC001"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "m.py"
-        assert location["region"]["startLine"] == 5
-        json.dumps(log)  # must be serializable as-is
-
-    def test_severity_level_mapping(self):
-        from repro.check.findings import Finding
-
-        log = to_sarif(
-            [
-                Finding("X001", Severity.WARNING, "warn", location="a.py:1"),
-                Finding("X002", Severity.INFO, "note", location="a.py:2"),
-            ]
-        )
-        levels = [r["level"] for r in log["runs"][0]["results"]]
-        assert levels == ["warning", "note"]

@@ -1,4 +1,7 @@
-"""The REP001–REP007 AST lint: each rule has failing and passing fixtures."""
+"""The REP rules of the AST lint: each rule has failing and passing fixtures.
+
+The CONC/DET rules of the same pass have theirs in ``test_flow.py``.
+"""
 
 import textwrap
 
@@ -245,8 +248,10 @@ class TestHarness:
         assert finding.location == "fixture.py:1"
 
     def test_rule_catalog_is_complete(self):
-        """REP004 is retired (alias removed in PR 7); the id is not reused."""
+        """REP004 and DET003 are retired; their ids are never reused."""
         assert sorted(LINT_RULES) == [
+            "CONC001", "CONC002", "CONC003", "CONC004", "CONC005",
+            "DET001", "DET002", "DET004",
             "REP001", "REP002", "REP003", "REP005", "REP006", "REP007",
             "REP008",
         ]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.steps import bt_steps, hring_steps, rd_steps, ring_steps, wrht_steps
 from repro.core.timing import (
+    CLOSED_FORM_ALGORITHMS,
     CostModel,
     algorithm_time,
     bt_time,
@@ -147,3 +148,25 @@ class TestDispatch:
     def test_all_algorithms_positive(self, n, d):
         for name in ("Ring", "BT", "RD", "WRHT"):
             assert algorithm_time(name, n, d, MODEL, w=64) > 0
+
+
+class TestClosedFormAlgorithms:
+    """One tuple names the algorithms with a closed form."""
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_ALGORITHMS)
+    def test_every_listed_name_prices(self, name):
+        assert algorithm_time(name, 16, 1e6, MODEL, w=8) > 0
+
+    def test_every_other_display_name_rejected(self):
+        from repro.collectives.registry import DISPLAY_NAMES
+
+        others = sorted(set(DISPLAY_NAMES.values()) - set(CLOSED_FORM_ALGORITHMS))
+        assert "DBTree" in others
+        for name in others:
+            with pytest.raises(ValueError, match="unknown algorithm"):
+                algorithm_time(name, 16, 1e6, MODEL, w=8)
+
+    def test_service_and_analytic_backend_share_it(self):
+        from repro.service.api import ALGORITHMS
+
+        assert ALGORITHMS is CLOSED_FORM_ALGORITHMS

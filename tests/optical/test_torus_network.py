@@ -120,3 +120,57 @@ class TestTorusExecutor:
         result = net.execute(build_schedule("ring", 16, 160))
         assert result.n_steps == 30
         assert result.total_time > 0
+
+
+class TestTorusDeadWavelengths:
+    """Wavelengths a FaultSet kills are as unusable as failed_wavelengths."""
+
+    @staticmethod
+    def _planned(monkeypatch, cfg):
+        import repro.optical.torus as torus_mod
+        from repro.backend.plancache import PlanCache
+        from repro.collectives.registry import build_schedule
+        from repro.optical.rwa import plan_rounds as real
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            rounds = real(*args, **kwargs)
+            calls.append((kwargs["blocked"], rounds))
+            return rounds
+
+        monkeypatch.setattr(torus_mod, "plan_rounds", spy)
+        net = TorusOpticalNetwork(cfg, 4, 4, plan_cache=PlanCache(maxsize=0))
+        result = net.execute(build_schedule("ring", 16, 160))
+        return calls, result
+
+    def test_dead_wavelength_never_assigned(self, monkeypatch):
+        from repro.faults.models import DeadWavelength, FaultSet
+
+        cfg = OpticalSystemConfig(
+            n_nodes=16, n_wavelengths=4, faults=FaultSet.of(DeadWavelength(0))
+        )
+        calls, _ = self._planned(monkeypatch, cfg)
+        assert calls
+        for blocked, rounds in calls:
+            assert blocked == frozenset({0})
+            assert all(
+                lam != 0 for assignment in rounds for _, lam in assignment.values()
+            )
+
+    def test_failed_wavelengths_path_unchanged(self, monkeypatch):
+        from repro.faults.models import DeadWavelength, FaultSet
+
+        failed, failed_result = self._planned(
+            monkeypatch,
+            OpticalSystemConfig(n_nodes=16, n_wavelengths=4, failed_wavelengths={0}),
+        )
+        dead, dead_result = self._planned(
+            monkeypatch,
+            OpticalSystemConfig(
+                n_nodes=16, n_wavelengths=4, faults=FaultSet.of(DeadWavelength(0))
+            ),
+        )
+        assert [b for b, _ in failed] == [frozenset({0})] * len(failed)
+        assert [r for _, r in failed] == [r for _, r in dead]
+        assert failed_result.total_time == dead_result.total_time

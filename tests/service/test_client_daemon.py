@@ -2,6 +2,7 @@
 
 import asyncio
 import contextlib
+import logging
 import socket
 import threading
 import time
@@ -302,6 +303,28 @@ class TestControlPlane:
             finally:
                 sock.close()
         assert ids == {1, 2}
+
+    def test_half_closed_client_with_requests_in_flight(self, tmp_path, caplog):
+        # Each finished request task discards itself from the connection's
+        # task set; the handler must still await every task and close.
+        request = PlanRequest("WRHT", 16, 4096, n_wavelengths=8)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with running_service(tmp_path, engine=SlowEngine(0.2)) as (_, sock_path):
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.settimeout(30.0)
+                sock.connect(sock_path)
+                try:
+                    for i in (1, 2):
+                        send_frame(
+                            sock, {"op": "plan", "request": request.to_dict(), "id": i}
+                        )
+                    sock.shutdown(socket.SHUT_WR)
+                    ids = {recv_frame(sock)["id"] for _ in (1, 2)}
+                    assert sock.recv(1) == b""
+                finally:
+                    sock.close()
+        assert ids == {1, 2}
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
     def test_in_process_client_needs_no_daemon(self):
         with PlanClient(engine=PlanEngine(plan_cache=PlanCache())) as client:
