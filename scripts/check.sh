@@ -9,8 +9,9 @@
 #   3. repro.check plan verifier over the figure golden plans
 #   --fast stops here (lint + verifier only — the seconds-scale
 #   pre-commit loop; see docs/TESTING.md). The full gate continues with:
-#   4. collectives smoke (every registered algorithm built, verified
-#      numerically and priced where a closed form exists)
+#   4. collectives smoke (every registered algorithm built materialized and
+#      not, verified numerically at two payloads and priced where a closed
+#      form exists)
 #   5. reconfiguration smoke (one overlapped cell per backend under a
 #      25 us MRR tuning model: optical plans PLAN-clean with the
 #      reconfigure-vs-hold decision logged, analytic overlap beating
@@ -69,23 +70,39 @@ from repro.collectives.registry import available_algorithms
 from repro.core.timing import CostModel
 
 # Build, numerically verify, and (where a closed form exists) lower every
-# registered algorithm at a power of two, a non-power-of-two, and the
-# paper's mid-size N. DBTree has no closed-form model by design, so it is
-# verified numerically but not priced analytically.
+# registered algorithm at a power of two, a non-power-of-two, the paper's
+# mid-size N, and N=129 just above the 128 materialization cutoff. Each
+# (algorithm, N) is built materialized, unmaterialized (the default path at
+# N=129) and at a second payload, which instantiates the same memoized
+# structure again; that build is verified numerically too. DBTree has no
+# closed-form model by design, so it is verified numerically but not
+# priced analytically.
 backend = AnalyticBackend(CostModel(line_rate=40e9 / 8, step_overhead=25e-6), w=8)
 for algo in available_algorithms():
-    for n in (8, 15, 64):
+    for n in (8, 15, 64, 129):
         kwargs = {"n_wavelengths": 8} if algo == "wrht" else {}
         if algo == "hring":
             kwargs["m"] = min(5, n)
-        schedule = build_schedule(algo, n, max(n, 32), materialize=True, **kwargs)
-        verify_allreduce(schedule)
-        if algo != "dbtree":
-            result = backend.run(schedule, bytes_per_elem=4.0)
-            assert result.n_steps == schedule.n_steps, (
-                algo, n, result.n_steps, schedule.n_steps
+        elems = max(n, 32)
+        exact = build_schedule(algo, n, elems, materialize=True, **kwargs)
+        lean = build_schedule(
+            algo, n, elems, materialize=None if n > 128 else False, **kwargs
+        )
+        if n <= 128:
+            verify_allreduce(exact)
+            verify_allreduce(
+                build_schedule(algo, n, 3 * elems + 1, materialize=True, **kwargs)
             )
-    print(f"  {algo}: verified at N=8/15/64")
+        for schedule in (exact, lean):
+            assert schedule.n_steps == exact.n_steps, (
+                algo, n, schedule.n_steps, exact.n_steps
+            )
+            if algo != "dbtree":
+                result = backend.run(schedule, bytes_per_elem=4.0)
+                assert result.n_steps == schedule.n_steps, (
+                    algo, n, result.n_steps, schedule.n_steps
+                )
+    print(f"  {algo}: verified at N=8/15/64 (two payloads); N=129 built both ways")
 PY
 
 echo "== reconfiguration smoke (tuning model + overlap, per backend) =="

@@ -12,9 +12,14 @@ Keys are backend-composed tuples of
 — the full set of inputs that determine a pattern's priced plan — and the
 value is whatever priced summary the backend stores (the optical backends
 store a :class:`CachedRound` tuple; the electrical backend a fluid-timing
-summary; the analytic backend a closed-form decomposition). Replay is
-bit-identical by construction: cached entries hold the exact floats the
-cold path produced, and backends fold them in the identical order.
+summary; the analytic backend a closed-form decomposition). The pattern
+key is :meth:`~repro.collectives.base.CommStep.pattern_key`: the step's
+(src, dst, n_elems, op) rows as int64 bytes in lexicographic order, so two
+keys are equal exactly when the steps move the same transfer multiset, and
+a bytes object caches its hash, so lookups and LRU moves never re-hash a
+large step. Replay is bit-identical by construction: cached entries hold
+the exact floats the cold path produced, and backends fold them in the
+identical order.
 
 Correctness guards:
 

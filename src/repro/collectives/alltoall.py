@@ -16,7 +16,28 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.collectives.base import CommStep, Transfer
+import numpy as np
+
+from repro.collectives.base import SUM, CommStep
+
+
+def alltoall_pairs(nodes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Senders and receivers of a full all-to-all among ``nodes``, in
+    ``(a, b)`` order for every ``a`` then every ``b != a``.
+
+    Raises:
+        ValueError: Fewer than 2 nodes, or a repeated node.
+    """
+    nodes = np.array(list(nodes), dtype=np.int64)
+    if len(nodes) < 2:
+        raise ValueError(f"all-to-all needs >= 2 nodes, got {len(nodes)}")
+    if len(np.unique(nodes)) != len(nodes):
+        raise ValueError("all-to-all nodes must be distinct")
+    k = len(nodes)
+    off_diagonal = ~np.eye(k, dtype=bool)
+    src = np.repeat(nodes, k).reshape(k, k)[off_diagonal]
+    dst = np.tile(nodes, k).reshape(k, k)[off_diagonal]
+    return src, dst
 
 
 def build_alltoall_step(
@@ -33,15 +54,8 @@ def build_alltoall_step(
     Returns:
         A :class:`CommStep` with ``k(k−1)`` concurrent ``sum`` transfers.
     """
-    nodes = list(nodes)
-    if len(nodes) < 2:
-        raise ValueError(f"all-to-all needs >= 2 nodes, got {len(nodes)}")
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("all-to-all nodes must be distinct")
-    transfers = tuple(
-        Transfer(src=a, dst=b, lo=0, hi=total_elems, op="sum")
-        for a in nodes
-        for b in nodes
-        if a != b
+    src, dst = alltoall_pairs(nodes)
+    return CommStep.from_arrays(
+        src, dst, np.zeros_like(src), np.full_like(src, total_elems),
+        np.full(len(src), SUM), stage=stage, level=level,
     )
-    return CommStep(transfers, stage=stage, level=level)

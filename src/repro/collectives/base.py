@@ -15,6 +15,20 @@ to the destination, where it is combined according to ``op``:
 - ``"sum"``  — destination accumulates (``dst[lo:hi] += src[lo:hi]``),
 - ``"copy"`` — destination overwrites (``dst[lo:hi] = src[lo:hi]``).
 
+Steps as arrays
+---------------
+
+A :class:`CommStep` holds its transfers as five parallel int64/int8 arrays
+(``src``, ``dst``, ``lo``, ``hi``, ``op`` codes into :data:`OPS`). The
+registered builders other than DBTree (:mod:`repro.collectives.structure`)
+build each (algorithm, N, knobs) step structure once and instantiate it per
+payload by array arithmetic, so a schedule that is only priced never creates a
+:class:`Transfer`: the ``transfers`` tuple is a view built from the arrays
+on first read and then kept. A step can still be constructed from a
+``Transfer`` tuple (``CommStep(transfers, stage, level)``); its arrays are
+then derived on first use. Either way, equality and hashing are defined by
+(transfers, stage, level).
+
 Timing profiles
 ---------------
 
@@ -25,17 +39,28 @@ transfer objects. Since timing depends only on each step's communication
 representative step per run of identical-pattern steps. Executors consume
 the profile; the numerical verifier consumes the exact materialized steps
 (built only for sizes where that is cheap).
+
+The pattern key (:meth:`CommStep.pattern_key`) is the bytes of the step's
+(src, dst, n_elems, op) rows as int64 in lexicographic order, computed once
+per step. Two keys are equal exactly when the steps move the same multiset
+of (src, dst, size, op) transfers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterator, Literal, Sequence
+
+import numpy as np
 
 from repro.check.intervals import Claim
 from repro.util.validation import check_positive_int
 
 Op = Literal["sum", "copy"]
+
+#: Op names by code: a step's ``op`` array holds indices into this tuple.
+OPS: tuple[Op, ...] = ("sum", "copy")
+SUM, COPY = 0, 1
 
 
 @dataclass(frozen=True)
@@ -87,7 +112,25 @@ class Transfer:
         )
 
 
-@dataclass(frozen=True)
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` with its writeable flag cleared (returned for chaining)."""
+    array.flags.writeable = False
+    return array
+
+
+def check_rows(src, dst, lo, hi, op) -> None:
+    """Raise what ``Transfer.__post_init__`` would for the first bad row."""
+    bad = (src == dst) | (lo < 0) | (lo > hi) | (op < 0) | (op >= len(OPS))
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if src[i] == dst[i]:
+        raise ValueError(f"self-transfer at node {int(src[i])}")
+    if not 0 <= lo[i] <= hi[i]:
+        raise ValueError(f"bad element range [{int(lo[i])}, {int(hi[i])})")
+    raise ValueError(f"op must be 'sum' or 'copy', got {int(op[i])!r}")
+
+
 class CommStep:
     """One bulk-synchronous step of concurrent transfers.
 
@@ -95,37 +138,192 @@ class CommStep:
         transfers: Concurrent transfers; a destination may receive multiple
             ``sum`` transfers in one step (WRHT group collect), but at most
             one ``copy`` per overlapping range (checked by the verifier).
+            On an array-built step this is a view made on first read.
         stage: ``"reduce"``, ``"broadcast"`` or ``"exchange"`` — used for
             reporting and assertions, not semantics.
         level: Hierarchy level (1-based) for tree/WRHT steps, 0 otherwise.
+        src, dst, lo, hi: The transfers' fields as read-only int64 arrays.
+        op: Read-only int8 op codes (indices into :data:`OPS`).
     """
 
-    transfers: tuple[Transfer, ...]
-    stage: str = "reduce"
-    level: int = 0
+    __slots__ = (
+        "stage", "level", "_transfers", "_src", "_dst", "_lo", "_hi", "_op", "_key",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.transfers:
+    def __init__(
+        self, transfers: Sequence[Transfer], stage: str = "reduce", level: int = 0
+    ) -> None:
+        transfers = tuple(transfers)
+        if not transfers:
             raise ValueError("a CommStep needs at least one transfer")
+        self._init(stage, level, transfers, None, None, None, None, None)
+
+    def _init(self, stage, level, transfers, src, dst, lo, hi, op) -> None:
+        setter = object.__setattr__
+        setter(self, "stage", stage)
+        setter(self, "level", level)
+        setter(self, "_transfers", transfers)
+        setter(self, "_src", src)
+        setter(self, "_dst", dst)
+        setter(self, "_lo", lo)
+        setter(self, "_hi", hi)
+        setter(self, "_op", op)
+        setter(self, "_key", None)
+
+    @classmethod
+    def from_arrays(
+        cls, src, dst, lo, hi, op, stage: str = "reduce", level: int = 0
+    ) -> "CommStep":
+        """A step from parallel transfer arrays (``op`` as :data:`OPS` codes).
+
+        Raises:
+            ValueError: No transfers, mismatched lengths, or a row that
+                :class:`Transfer` would reject (same message).
+        """
+        src, dst, lo, hi = (
+            read_only(np.array(a, dtype=np.int64)) for a in (src, dst, lo, hi)
+        )
+        op = read_only(np.array(op, dtype=np.int8))
+        if src.ndim != 1 or not all(a.shape == src.shape for a in (dst, lo, hi, op)):
+            raise ValueError("transfer arrays must be 1-D and equally long")
+        if not len(src):
+            raise ValueError("a CommStep needs at least one transfer")
+        check_rows(src, dst, lo, hi, op)
+        return cls._of(src, dst, lo, hi, op, stage, level)
+
+    @classmethod
+    def _of(cls, src, dst, lo, hi, op, stage, level) -> "CommStep":
+        """An array step from already-checked read-only arrays."""
+        step = cls.__new__(cls)
+        step._init(stage, level, None, src, dst, lo, hi, op)
+        return step
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (
+            CommStep.from_arrays,
+            (self.src, self.dst, self.lo, self.hi, self.op, self.stage, self.level),
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"CommStep(transfers={self.transfers!r}, stage={self.stage!r}, "
+            f"level={self.level!r})"
+        )
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self is other:
+            return True
+        return (
+            self.stage == other.stage
+            and self.level == other.level
+            and self.n_transfers == other.n_transfers
+            and all(
+                np.array_equal(a, b)
+                for a, b in zip(self._arrays(), other._arrays())
+            )
+        )
+
+    def __hash__(self) -> int:
+        rows = np.stack(self._arrays()[:4], axis=1)
+        return hash((rows.tobytes(), self.op.tobytes(), self.stage, self.level))
+
+    # -- the two views ------------------------------------------------------
+    @property
+    def transfers(self) -> tuple[Transfer, ...]:
+        """The transfers as objects (built from the arrays on first read)."""
+        transfers = self._transfers
+        if transfers is None:
+            transfers = tuple(map(
+                Transfer,
+                self._src.tolist(), self._dst.tolist(),
+                self._lo.tolist(), self._hi.tolist(),
+                [OPS[code] for code in self._op.tolist()],
+            ))
+            object.__setattr__(self, "_transfers", transfers)
+        return transfers
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """``(src, dst, lo, hi, op)``, derived from the transfers once."""
+        if self._src is None:
+            transfers = self._transfers
+            rows = read_only(np.array(
+                [(t.src, t.dst, t.lo, t.hi) for t in transfers], dtype=np.int64
+            ))
+            ops = read_only(np.array(
+                [OPS.index(t.op) for t in transfers], dtype=np.int8
+            ))
+            for name, column in zip(("_src", "_dst", "_lo", "_hi"), rows.T):
+                object.__setattr__(self, name, column)
+            object.__setattr__(self, "_op", ops)
+        return self._src, self._dst, self._lo, self._hi, self._op
+
+    @property
+    def src(self) -> np.ndarray:
+        """Sending node ids."""
+        return self._arrays()[0]
+
+    @property
+    def dst(self) -> np.ndarray:
+        """Receiving node ids."""
+        return self._arrays()[1]
+
+    @property
+    def lo(self) -> np.ndarray:
+        """First element indices (inclusive)."""
+        return self._arrays()[2]
+
+    @property
+    def hi(self) -> np.ndarray:
+        """Last element indices (exclusive)."""
+        return self._arrays()[3]
+
+    @property
+    def op(self) -> np.ndarray:
+        """Op codes (indices into :data:`OPS`)."""
+        return self._arrays()[4]
+
+    @property
+    def n_elems(self) -> np.ndarray:
+        """Elements each transfer moves, as an int64 array."""
+        _, _, lo, hi, _ = self._arrays()
+        return hi - lo
 
     @property
     def n_transfers(self) -> int:
         """Number of concurrent transfers."""
-        return len(self.transfers)
+        if self._src is not None:
+            return len(self._src)
+        return len(self._transfers)
 
     def total_elems(self) -> int:
         """Sum of element counts across transfers (for byte accounting)."""
-        return sum(t.n_elems for t in self.transfers)
+        return int(self.n_elems.sum())
 
-    def pattern_key(self) -> tuple:
+    def pattern_key(self) -> bytes:
         """Hashable key identifying the step's timing-relevant pattern.
 
         Two steps with the same key take exactly the same time on any of the
         substrates: same (src, dst, size, op) multiset. Element *positions*
         are deliberately excluded — a Ring reduce-scatter step moving chunk
-        ``c`` costs the same as one moving chunk ``c+1``.
+        ``c`` costs the same as one moving chunk ``c+1``. The key is the
+        bytes of the int64 (src, dst, n_elems, op) rows in lexicographic
+        order, computed once per step.
         """
-        return tuple(sorted((t.src, t.dst, t.n_elems, t.op) for t in self.transfers))
+        key = self._key
+        if key is None:
+            src, dst, lo, hi, op = self._arrays()
+            rows = np.stack((src, dst, hi - lo, op.astype(np.int64)), axis=1)
+            key = rows[np.lexsort(rows.T[::-1])].tobytes()
+            object.__setattr__(self, "_key", key)
+        return key
 
     def write_claims(self) -> list[Claim]:
         """Dataflow metadata: every non-empty transfer's destination claim.
@@ -180,12 +378,13 @@ class Schedule:
         """Total communication steps."""
         return sum(count for _, count in self.timing_profile)
 
-    def lowering_profile(self) -> Iterator[tuple[CommStep, int, tuple]]:
+    def lowering_profile(self) -> Iterator[tuple[CommStep, int, bytes]]:
         """The stable lowering entry point backends consume.
 
         Yields ``(representative_step, count, pattern_key)`` triples in
         schedule order — the timing profile with each entry's pattern key
-        precomputed, so every backend deduplicates identically.
+        precomputed, so every backend deduplicates identically. Only this
+        module knows the key's form; backends use it as an opaque hashable.
         """
         for step, count in self.timing_profile:
             yield step, count, step.pattern_key()

@@ -11,30 +11,41 @@ why BT struggles on large models (Sec 5.5).
 
 from __future__ import annotations
 
-from repro.collectives.base import (
-    CommStep,
-    Schedule,
-    Transfer,
-    compress_steps,
-    singleton_schedule,
+import numpy as np
+
+from repro.collectives.base import COPY, SUM, Schedule, singleton_schedule
+from repro.collectives.structure import (
+    TOTAL,
+    ZERO,
+    Draft,
+    Structure,
+    instantiate,
+    memoized,
 )
 from repro.util.validation import check_positive_int
 
 
-def _reduce_step_transfers(n: int, k: int, total: int) -> tuple[Transfer, ...]:
-    half = 1 << (k - 1)
-    return tuple(
-        Transfer(src=j, dst=j - half, lo=0, hi=total, op="sum")
-        for j in range(half, n, 1 << k)
-    )
-
-
-def _broadcast_step_transfers(n: int, k: int, total: int) -> tuple[Transfer, ...]:
-    half = 1 << (k - 1)
-    return tuple(
-        Transfer(src=j - half, dst=j, lo=0, hi=total, op="copy")
-        for j in range(half, n, 1 << k)
-    )
+def _structure(n: int, keep_steps: bool) -> Structure:
+    """Level ``k`` pairs the node at offset ``2^(k−1)`` of each ``2^k``
+    block with the block's first node; every transfer is the full vector."""
+    # ``(n-1).bit_length()`` is ⌈log₂ n⌉ computed exactly in integers —
+    # no float log2 that could misround near large powers of two.
+    n_levels = (n - 1).bit_length()
+    draft = Draft()
+    senders, heads = {}, {}
+    for k in range(1, n_levels + 1):
+        half = 1 << (k - 1)
+        senders[k] = np.arange(half, n, 1 << k)
+        heads[k] = senders[k] - half
+    steps = [
+        draft.add(senders[k], heads[k], ZERO, TOTAL, SUM, "reduce", k)
+        for k in range(1, n_levels + 1)
+    ]
+    steps += [
+        draft.add(heads[k], senders[k], ZERO, TOTAL, COPY, "broadcast", k)
+        for k in range(n_levels, 0, -1)
+    ]
+    return draft.finish(steps, None, keep_steps=keep_steps, extras=n_levels)
 
 
 def build_bt_schedule(n_nodes: int, total_elems: int, materialize: bool | None = None) -> Schedule:
@@ -51,29 +62,16 @@ def build_bt_schedule(n_nodes: int, total_elems: int, materialize: bool | None =
     check_positive_int("total_elems", total_elems)
     if n_nodes == 1:
         return singleton_schedule("bt", total_elems)
-    # ``(n-1).bit_length()`` is ⌈log₂ n⌉ computed exactly in integers —
-    # no float log2 that could misround near large powers of two, and no
-    # math domain error should the n_nodes guard above ever regress.
-    n_levels = (n_nodes - 1).bit_length()
-    steps: list[CommStep] = []
-    for k in range(1, n_levels + 1):
-        steps.append(
-            CommStep(_reduce_step_transfers(n_nodes, k, total_elems), stage="reduce", level=k)
-        )
-    for k in range(n_levels, 0, -1):
-        steps.append(
-            CommStep(
-                _broadcast_step_transfers(n_nodes, k, total_elems),
-                stage="broadcast",
-                level=k,
-            )
-        )
-    profile = compress_steps(steps)
+    keep_steps = materialize is not False
+    structure = memoized(
+        ("bt", n_nodes, keep_steps), lambda: _structure(n_nodes, keep_steps)
+    )
+    steps, profile = instantiate(structure, total_elems)
     return Schedule(
         algorithm="bt",
         n_nodes=n_nodes,
         total_elems=total_elems,
-        steps=steps if materialize is not False else None,
+        steps=steps,
         timing_profile=profile,
-        meta={"profile_exact": True, "n_levels": n_levels},
+        meta={"profile_exact": True, "n_levels": structure.extras},
     )

@@ -21,135 +21,118 @@ intra-group steps into rounds; the closed form in
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
-from repro.collectives.base import (
-    CommStep,
-    Schedule,
-    Transfer,
-    singleton_schedule,
+from repro.collectives.base import COPY, SUM, Schedule, singleton_schedule
+from repro.collectives.structure import (
+    TOTAL,
+    ZERO,
+    Draft,
+    Structure,
+    instantiate,
+    memoized,
 )
-from repro.collectives.ring import chunk_bounds
 from repro.core.grouping import partition_ring
 from repro.util.validation import check_positive_int
 
 
-def _intra_steps(groups, total: int) -> list[CommStep]:
+def _ring_hops(rings: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Senders and receivers of one ring step in every ring, ring-major."""
+    src = [member for ring in rings for member in ring]
+    dst = [ring[(i + 1) % len(ring)] for ring in rings for i in range(len(ring))]
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+
+
+def _ring_chunks(draft: Draft, rings: list[tuple[int, ...]], s: int) -> np.ndarray:
+    """Chunk refs of reduce-scatter step ``s``: member ``i`` of each ring
+    sends chunk ``(i − s) mod g`` of its ring's ``g`` balanced chunks (the
+    all-gather passes ``s − 1``)."""
+    return np.concatenate([
+        draft.layout.edges(len(ring)) + (np.arange(len(ring)) - s) % len(ring)
+        for ring in rings
+    ])
+
+
+def _intra_steps(draft: Draft, groups) -> list[int]:
     """Concurrent per-group ring All-reduce steps (phases padded to max g)."""
     max_g = max(len(g.members) for g in groups)
-    if max_g == 1:
-        return []
-    per_group_bounds = {g.members: chunk_bounds(total, len(g.members)) for g in groups}
-    steps: list[CommStep] = []
+    steps: list[int] = []
     for s in range(max_g - 1):  # reduce-scatter
-        transfers = []
-        for g in groups:
-            members, n = g.members, len(g.members)
-            if s >= n - 1:
-                continue
-            bounds = per_group_bounds[members]
-            for i in range(n):
-                lo, hi = bounds[(i - s) % n]
-                transfers.append(
-                    Transfer(src=members[i], dst=members[(i + 1) % n], lo=lo, hi=hi, op="sum")
-                )
-        steps.append(CommStep(tuple(transfers), stage="reduce", level=1))
+        rings = [g.members for g in groups if s < len(g.members) - 1]
+        src, dst = _ring_hops(rings)
+        chunk = _ring_chunks(draft, rings, s)
+        steps.append(draft.add(src, dst, chunk, chunk + 1, SUM, "reduce", 1))
     for s in range(max_g - 1):  # all-gather
-        transfers = []
-        for g in groups:
-            members, n = g.members, len(g.members)
-            if s >= n - 1:
-                continue
-            bounds = per_group_bounds[members]
-            for i in range(n):
-                lo, hi = bounds[(i + 1 - s) % n]
-                transfers.append(
-                    Transfer(src=members[i], dst=members[(i + 1) % n], lo=lo, hi=hi, op="copy")
-                )
-        steps.append(CommStep(tuple(transfers), stage="broadcast", level=1))
+        rings = [g.members for g in groups if s < len(g.members) - 1]
+        src, dst = _ring_hops(rings)
+        chunk = _ring_chunks(draft, rings, s - 1)
+        steps.append(draft.add(src, dst, chunk, chunk + 1, COPY, "broadcast", 1))
     return steps
 
 
-def _inter_steps(leaders: list[int], total: int) -> list[CommStep]:
+def _inter_steps(draft: Draft, leaders: tuple[int, ...]) -> list[int]:
     """Ring All-reduce over the group leaders."""
-    n = len(leaders)
-    if n == 1:
+    if len(leaders) == 1:
         return []
-    bounds = chunk_bounds(total, n)
-    steps: list[CommStep] = []
-    for s in range(n - 1):
-        transfers = tuple(
-            Transfer(
-                src=leaders[i],
-                dst=leaders[(i + 1) % n],
-                lo=bounds[(i - s) % n][0],
-                hi=bounds[(i - s) % n][1],
-                op="sum",
-            )
-            for i in range(n)
-        )
-        steps.append(CommStep(transfers, stage="reduce", level=2))
-    for s in range(n - 1):
-        transfers = tuple(
-            Transfer(
-                src=leaders[i],
-                dst=leaders[(i + 1) % n],
-                lo=bounds[(i + 1 - s) % n][0],
-                hi=bounds[(i + 1 - s) % n][1],
-                op="copy",
-            )
-            for i in range(n)
-        )
-        steps.append(CommStep(transfers, stage="broadcast", level=2))
+    src, dst = _ring_hops([leaders])
+    steps = []
+    for s in range(len(leaders) - 1):
+        chunk = _ring_chunks(draft, [leaders], s)
+        steps.append(draft.add(src, dst, chunk, chunk + 1, SUM, "reduce", 2))
+    for s in range(len(leaders) - 1):
+        chunk = _ring_chunks(draft, [leaders], s - 1)
+        steps.append(draft.add(src, dst, chunk, chunk + 1, COPY, "broadcast", 2))
     return steps
 
 
-def _leader_broadcast(groups, total: int) -> CommStep | None:
+def _leader_broadcast(draft: Draft, groups) -> int | None:
     """Leaders push the global sum to their members (one step)."""
-    transfers = []
-    for g in groups:
-        leader = g.members[0]
-        for member in g.members[1:]:
-            transfers.append(Transfer(src=leader, dst=member, lo=0, hi=total, op="copy"))
-    if not transfers:
+    src = [g.members[0] for g in groups for _ in g.members[1:]]
+    dst = [member for g in groups for member in g.members[1:]]
+    if not src:
         return None
-    return CommStep(tuple(transfers), stage="broadcast", level=1)
+    return draft.add(src, dst, ZERO, TOTAL, COPY, "broadcast", 1)
 
 
-def _profile(n: int, m: int, total: int) -> list[tuple[CommStep, int]]:
-    """Uniform-size timing profile (see ring.py for the approximation note)."""
+def _structure(n: int, m: int, materialize: bool) -> Structure:
     groups = partition_ring(list(range(n)), m)
+    leaders = tuple(g.members[0] for g in groups)
+    draft = Draft()
+    steps: list[int] = []
+    if materialize:
+        steps = _intra_steps(draft, groups)
+        inter = _inter_steps(draft, leaders)
+        steps += inter
+        if inter:  # members only lack the global sum if an inter phase ran
+            bcast = _leader_broadcast(draft, groups)
+            if bcast is not None:
+                steps.append(bcast)
+    # Uniform-size timing profile (see ring.py for the approximation note).
     max_g = max(len(g.members) for g in groups)
     n_groups = len(groups)
-    profile: list[tuple[CommStep, int]] = []
+    profile: list[tuple[int, int]] = []
     if max_g > 1:
-        intra_chunk = min(math.ceil(total / max_g), total)
-        rs = []
-        for g in groups:
-            members, gn = g.members, len(g.members)
-            if gn == 1:
-                continue
-            for i in range(gn):
-                rs.append(Transfer(members[i], members[(i + 1) % gn], 0, intra_chunk, "sum"))
-        profile.append((CommStep(tuple(rs), stage="reduce", level=1), max_g - 1))
-        ag = tuple(
-            Transfer(t.src, t.dst, t.lo, t.hi, "copy") for t in rs
+        intra_chunk = draft.layout.chunk(max_g)
+        src, dst = _ring_hops([g.members for g in groups if len(g.members) > 1])
+        profile.append(
+            (draft.add(src, dst, ZERO, intra_chunk, SUM, "reduce", 1), max_g - 1)
         )
-        profile.append((CommStep(ag, stage="broadcast", level=1), max_g - 1))
+        profile.append(
+            (draft.add(src, dst, ZERO, intra_chunk, COPY, "broadcast", 1), max_g - 1)
+        )
     if n_groups > 1:
-        leaders = [g.members[0] for g in groups]
-        inter_chunk = min(math.ceil(total / n_groups), total)
-        rs = tuple(
-            Transfer(leaders[i], leaders[(i + 1) % n_groups], 0, inter_chunk, "sum")
-            for i in range(n_groups)
+        inter_chunk = draft.layout.chunk(n_groups)
+        src, dst = _ring_hops([leaders])
+        profile.append(
+            (draft.add(src, dst, ZERO, inter_chunk, SUM, "reduce", 2), n_groups - 1)
         )
-        profile.append((CommStep(rs, stage="reduce", level=2), n_groups - 1))
-        ag = tuple(Transfer(t.src, t.dst, t.lo, t.hi, "copy") for t in rs)
-        profile.append((CommStep(ag, stage="broadcast", level=2), n_groups - 1))
-        bcast = _leader_broadcast(groups, total)
+        profile.append(
+            (draft.add(src, dst, ZERO, inter_chunk, COPY, "broadcast", 2), n_groups - 1)
+        )
+        bcast = _leader_broadcast(draft, groups)
         if bcast is not None:
             profile.append((bcast, 1))
-    return profile
+    return draft.finish(steps, profile, keep_steps=materialize, extras=n_groups)
 
 
 def build_hring_schedule(
@@ -181,27 +164,21 @@ def build_hring_schedule(
         raise ValueError(f"group size m={m} exceeds n_nodes={n_nodes}")
     if materialize is None:
         materialize = n_nodes <= 128
-
-    groups = partition_ring(list(range(n_nodes)), m)
-    steps: list[CommStep] | None = None
-    if materialize:
-        steps = list(_intra_steps(groups, total_elems))
-        leaders = [g.members[0] for g in groups]
-        inter = _inter_steps(leaders, total_elems)
-        steps.extend(inter)
-        if inter:  # members only lack the global sum if an inter phase ran
-            bcast = _leader_broadcast(groups, total_elems)
-            if bcast is not None:
-                steps.append(bcast)
+    materialize = bool(materialize)
+    structure = memoized(
+        ("hring", n_nodes, materialize, m),
+        lambda: _structure(n_nodes, m, materialize),
+    )
+    steps, profile = instantiate(structure, total_elems)
     return Schedule(
         algorithm="hring",
         n_nodes=n_nodes,
         total_elems=total_elems,
         steps=steps,
-        timing_profile=_profile(n_nodes, m, total_elems),
+        timing_profile=profile,
         meta={
             "profile_exact": False,
-            "n_groups": len(groups),
+            "n_groups": structure.extras,
             "m": m,
         },
     )

@@ -20,14 +20,17 @@ default.
 
 from __future__ import annotations
 
-from repro.collectives.base import (
-    CommStep,
-    Schedule,
-    Transfer,
-    compress_steps,
-    singleton_schedule,
+import numpy as np
+
+from repro.collectives.base import COPY, SUM, Schedule, singleton_schedule
+from repro.collectives.structure import (
+    TOTAL,
+    ZERO,
+    Draft,
+    Structure,
+    instantiate,
+    memoized,
 )
-from repro.collectives.ring import chunk_bounds
 from repro.util.validation import check_positive_int
 
 VARIANTS = ("doubling", "halving_doubling")
@@ -40,62 +43,77 @@ def _participant_label(node: int, r: int) -> int | None:
     return node - r
 
 
-def _core_node(rank: int, r: int) -> int:
-    """Inverse of :func:`_participant_label` for participating ranks."""
-    return 2 * rank if rank < r else rank + r
+def _core_node(rank: np.ndarray, r: int) -> np.ndarray:
+    """Inverse of :func:`_participant_label` for an array of participating
+    ranks."""
+    return np.where(rank < r, 2 * rank, rank + r)
 
 
-def _halving_doubling_core_steps(
-    p: int, r: int, total_elems: int
-) -> list[CommStep]:
-    """Rabenseifner core: recursive-halving RS + recursive-doubling AG."""
+def _halving_doubling_core_steps(draft: Draft, p: int, r: int) -> list[int]:
+    """Rabenseifner core: recursive-halving RS + recursive-doubling AG.
+
+    Every rank tracks its chunk window ``[lo, hi)`` over ``p`` balanced
+    chunks; a transfer moves the elements from edge ``lo`` to edge ``hi``.
+    """
     k_levels = p.bit_length() - 1
-    bounds = chunk_bounds(total_elems, p)
-
-    def window_elems(lo_chunk: int, hi_chunk: int) -> tuple[int, int]:
-        return bounds[lo_chunk][0], bounds[hi_chunk - 1][1]
-
-    windows = {rank: (0, p) for rank in range(p)}
-    steps: list[CommStep] = []
+    edges = draft.layout.edges(p)
+    ranks = np.arange(p)
+    nodes = _core_node(ranks, r)
+    lo, hi = np.zeros(p, dtype=np.int64), np.full(p, p, dtype=np.int64)
+    steps: list[int] = []
     for k in range(k_levels - 1, -1, -1):  # reduce-scatter, farthest first
-        transfers = []
-        next_windows = {}
-        for rank in range(p):
-            peer = rank ^ (1 << k)
-            lo, hi = windows[rank]
-            mid = (lo + hi) // 2
-            if rank & (1 << k):
-                keep, send = (mid, hi), (lo, mid)
-            else:
-                keep, send = (lo, mid), (mid, hi)
-            e_lo, e_hi = window_elems(*send)
-            transfers.append(
-                Transfer(
-                    src=_core_node(rank, r), dst=_core_node(peer, r),
-                    lo=e_lo, hi=e_hi, op="sum",
-                )
-            )
-            next_windows[rank] = keep
-        windows = next_windows
-        steps.append(CommStep(tuple(transfers), stage="reduce", level=k + 1))
+        peer = ranks ^ (1 << k)
+        mid = (lo + hi) // 2
+        upper = (ranks & (1 << k)) != 0  # keeps the upper half, sends the lower
+        send_lo, send_hi = np.where(upper, lo, mid), np.where(upper, mid, hi)
+        steps.append(draft.add(
+            nodes, _core_node(peer, r), edges + send_lo, edges + send_hi,
+            SUM, "reduce", k + 1,
+        ))
+        lo, hi = np.where(upper, mid, lo), np.where(upper, hi, mid)
     for k in range(k_levels):  # all-gather, nearest first
-        transfers = []
-        next_windows = {}
-        for rank in range(p):
-            peer = rank ^ (1 << k)
-            lo, hi = windows[rank]
-            e_lo, e_hi = window_elems(lo, hi)
-            transfers.append(
-                Transfer(
-                    src=_core_node(rank, r), dst=_core_node(peer, r),
-                    lo=e_lo, hi=e_hi, op="copy",
-                )
-            )
-            peer_lo, peer_hi = windows[peer]
-            next_windows[rank] = (min(lo, peer_lo), max(hi, peer_hi))
-        windows = next_windows
-        steps.append(CommStep(tuple(transfers), stage="broadcast", level=k + 1))
+        peer = ranks ^ (1 << k)
+        steps.append(draft.add(
+            nodes, _core_node(peer, r), edges + lo, edges + hi,
+            COPY, "broadcast", k + 1,
+        ))
+        lo, hi = np.minimum(lo, lo[peer]), np.maximum(hi, hi[peer])
     return steps
+
+
+def _structure(n: int, variant: str, keep_steps: bool) -> Structure:
+    floor_log = n.bit_length() - 1
+    p = 1 << floor_log
+    r = n - p
+    if p < 2:
+        # Unreachable today (n_nodes == 1 returns a singleton, n_nodes < 1
+        # is rejected), but the floor path must never emit an empty core: a
+        # regression surfaces as a typed error, not an ill-formed schedule.
+        raise ValueError(
+            f"recursive doubling needs a >= 2-rank core, got n_nodes={n}"
+        )
+    draft = Draft()
+    steps: list[int] = []
+    folded = np.arange(r)
+    if r > 0:  # pre-step: odd members of the first 2r nodes fold onto evens
+        steps.append(
+            draft.add(2 * folded + 1, 2 * folded, ZERO, TOTAL, SUM, "reduce")
+        )
+    if variant == "doubling":
+        ranks = np.arange(p)
+        nodes = _core_node(ranks, r)
+        for k in range(floor_log):  # full-vector exchange among P survivors
+            steps.append(draft.add(
+                nodes, _core_node(ranks ^ (1 << k), r), ZERO, TOTAL,
+                SUM, "exchange", k + 1,
+            ))
+    else:
+        steps.extend(_halving_doubling_core_steps(draft, p, r))
+    if r > 0:  # post-step: evens hand the result back to the folded odds
+        steps.append(
+            draft.add(2 * folded, 2 * folded + 1, ZERO, TOTAL, COPY, "broadcast")
+        )
+    return draft.finish(steps, None, keep_steps=keep_steps, extras=r == 0)
 
 
 def build_rd_schedule(
@@ -120,64 +138,21 @@ def build_rd_schedule(
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if n_nodes == 1:
         return singleton_schedule("rd", total_elems)
-
-    floor_log = n_nodes.bit_length() - 1
-    p = 1 << floor_log
-    r = n_nodes - p
-    if p < 2:
-        # Unreachable today (n_nodes == 1 returned above, n_nodes < 1 was
-        # rejected), but the floor path must never emit an empty core: a
-        # regression surfaces as a typed error, not an ill-formed schedule.
-        raise ValueError(
-            f"recursive doubling needs a >= 2-rank core, got n_nodes={n_nodes}"
-        )
-    steps: list[CommStep] = []
-
-    if r > 0:  # pre-step: odd members of the first 2r nodes fold onto evens
-        steps.append(
-            CommStep(
-                tuple(
-                    Transfer(src=2 * i + 1, dst=2 * i, lo=0, hi=total_elems, op="sum")
-                    for i in range(r)
-                ),
-                stage="reduce",
-            )
-        )
-
-    if variant == "doubling":
-        for k in range(floor_log):  # full-vector exchange among P survivors
-            transfers = []
-            for rank in range(p):
-                peer = rank ^ (1 << k)
-                transfers.append(
-                    Transfer(
-                        src=_core_node(rank, r),
-                        dst=_core_node(peer, r),
-                        lo=0,
-                        hi=total_elems,
-                        op="sum",
-                    )
-                )
-            steps.append(CommStep(tuple(transfers), stage="exchange", level=k + 1))
-    elif p >= 2:
-        steps.extend(_halving_doubling_core_steps(p, r, total_elems))
-
-    if r > 0:  # post-step: evens hand the result back to the folded odds
-        steps.append(
-            CommStep(
-                tuple(
-                    Transfer(src=2 * i, dst=2 * i + 1, lo=0, hi=total_elems, op="copy")
-                    for i in range(r)
-                ),
-                stage="broadcast",
-            )
-        )
-
+    keep_steps = materialize is not False
+    structure = memoized(
+        ("rd", n_nodes, keep_steps, variant),
+        lambda: _structure(n_nodes, variant, keep_steps),
+    )
+    steps, profile = instantiate(structure, total_elems)
     return Schedule(
         algorithm="rd",
         n_nodes=n_nodes,
         total_elems=total_elems,
-        steps=steps if materialize is not False else None,
-        timing_profile=compress_steps(steps),
-        meta={"profile_exact": True, "power_of_two": r == 0, "variant": variant},
+        steps=steps,
+        timing_profile=profile,
+        meta={
+            "profile_exact": True,
+            "power_of_two": structure.extras,
+            "variant": variant,
+        },
     )

@@ -17,13 +17,15 @@ timing error is below one element per transfer.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
-from repro.collectives.base import (
-    CommStep,
-    Schedule,
-    Transfer,
-    singleton_schedule,
+from repro.collectives.base import COPY, SUM, Schedule, singleton_schedule
+from repro.collectives.structure import (
+    ZERO,
+    Draft,
+    Structure,
+    instantiate,
+    memoized,
 )
 from repro.util.validation import check_positive_int
 
@@ -52,36 +54,25 @@ def chunk_bounds(total_elems: int, n_chunks: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _materialize(n: int, total: int) -> list[CommStep]:
-    bounds = chunk_bounds(total, n)
-    steps: list[CommStep] = []
-    for s in range(n - 1):  # reduce-scatter
-        transfers = []
-        for i in range(n):
-            lo, hi = bounds[(i - s) % n]
-            transfers.append(Transfer(src=i, dst=(i + 1) % n, lo=lo, hi=hi, op="sum"))
-        steps.append(CommStep(tuple(transfers), stage="reduce"))
-    for s in range(n - 1):  # all-gather
-        transfers = []
-        for i in range(n):
-            lo, hi = bounds[(i + 1 - s) % n]
-            transfers.append(Transfer(src=i, dst=(i + 1) % n, lo=lo, hi=hi, op="copy"))
-        steps.append(CommStep(tuple(transfers), stage="broadcast"))
-    return steps
-
-
-def _profile(n: int, total: int) -> list[tuple[CommStep, int]]:
-    chunk = math.ceil(total / n)
-    chunk = min(chunk, total)
-    rs = CommStep(
-        tuple(Transfer(i, (i + 1) % n, 0, chunk, "sum") for i in range(n)),
-        stage="reduce",
-    )
-    ag = CommStep(
-        tuple(Transfer(i, (i + 1) % n, 0, chunk, "copy") for i in range(n)),
-        stage="broadcast",
-    )
-    return [(rs, n - 1), (ag, n - 1)]
+def _structure(n: int, materialize: bool) -> Structure:
+    """Every step sends node ``i``'s chunk to ``i + 1``; the chunk index
+    rotates with the step, and the profile uses the uniform ``⌈d/N⌉``."""
+    draft = Draft()
+    edges = draft.layout.edges(n)
+    nodes = np.arange(n)
+    succ = (nodes + 1) % n
+    steps = []
+    if materialize:
+        for s in range(n - 1):  # reduce-scatter: node i sends chunk (i - s)
+            chunk = edges + (nodes - s) % n
+            steps.append(draft.add(nodes, succ, chunk, chunk + 1, SUM, "reduce"))
+        for s in range(n - 1):  # all-gather: node i forwards chunk (i + 1 - s)
+            chunk = edges + (nodes + 1 - s) % n
+            steps.append(draft.add(nodes, succ, chunk, chunk + 1, COPY, "broadcast"))
+    uniform = draft.layout.chunk(n)
+    rs = draft.add(nodes, succ, ZERO, uniform, SUM, "reduce")
+    ag = draft.add(nodes, succ, ZERO, uniform, COPY, "broadcast")
+    return draft.finish(steps, [(rs, n - 1), (ag, n - 1)], keep_steps=materialize)
 
 
 def build_ring_schedule(
@@ -104,12 +95,16 @@ def build_ring_schedule(
         return singleton_schedule("ring", total_elems)
     if materialize is None:
         materialize = n_nodes <= MATERIALIZE_DEFAULT_LIMIT
-    steps = _materialize(n_nodes, total_elems) if materialize else None
+    materialize = bool(materialize)
+    structure = memoized(
+        ("ring", n_nodes, materialize), lambda: _structure(n_nodes, materialize)
+    )
+    steps, profile = instantiate(structure, total_elems)
     return Schedule(
         algorithm="ring",
         n_nodes=n_nodes,
         total_elems=total_elems,
         steps=steps,
-        timing_profile=_profile(n_nodes, total_elems),
+        timing_profile=profile,
         meta={"profile_exact": total_elems % n_nodes == 0},
     )

@@ -27,16 +27,17 @@ early-termination limit of 2 steps at ``A = N−1``.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
-from repro.collectives.base import (
-    CommStep,
-    Schedule,
-    Transfer,
-    compress_steps,
-    singleton_schedule,
-)
+from repro.collectives.base import COPY, SUM, Schedule, singleton_schedule
 from repro.collectives.ring import MATERIALIZE_DEFAULT_LIMIT, chunk_bounds
+from repro.collectives.structure import (
+    ZERO,
+    Draft,
+    Structure,
+    instantiate,
+    memoized,
+)
 from repro.util.validation import check_positive_int
 
 
@@ -65,87 +66,69 @@ def scring_arcs(n_nodes: int, pipeline: int) -> list[tuple[int, ...]]:
     return arcs
 
 
-def _materialize(
-    n: int, total: int, arcs: list[tuple[int, ...]]
-) -> list[CommStep]:
-    bounds = chunk_bounds(total, n)
+def _structure(n: int, pipeline: int, materialize: bool) -> Structure:
+    """Every step is circulant: for each chunk ``c`` (in order), one
+    transfer per active arc hop, offsets taken relative to the owner."""
+    arcs = scring_arcs(n, pipeline)
     longest = max(len(arc) for arc in arcs)
-    steps: list[CommStep] = []
-    for s in range(longest):  # reduce-scatter: chains end-aligned, then hub
-        transfers: list[Transfer] = []
-        for c in range(n):
-            lo, hi = bounds[c]
-            for arc in arcs:
-                if s == longest - 1:  # delivery: every head chords to the owner
-                    transfers.append(
-                        Transfer((c + arc[-1]) % n, c, lo, hi, "sum")
-                    )
-                    continue
-                j = s - (longest - len(arc))  # chain hop index (end-aligned)
-                if 0 <= j < len(arc) - 1:
-                    transfers.append(
-                        Transfer(
-                            (c + arc[j]) % n, (c + arc[j + 1]) % n, lo, hi, "sum"
-                        )
-                    )
-        steps.append(CommStep(tuple(transfers), stage="reduce"))
-    for t in range(longest):  # all-gather: hub multicast, then chains outward
-        transfers = []
-        for c in range(n):
-            lo, hi = bounds[c]
-            for arc in arcs:
-                if t == 0:  # owner chords the reduced chunk to every head
-                    transfers.append(
-                        Transfer(c, (c + arc[-1]) % n, lo, hi, "copy")
-                    )
-                    continue
-                j = len(arc) - 1 - t  # chains start-aligned (short arcs finish early)
-                if j >= 0:
-                    transfers.append(
-                        Transfer(
-                            (c + arc[j + 1]) % n, (c + arc[j]) % n, lo, hi, "copy"
-                        )
-                    )
-        steps.append(CommStep(tuple(transfers), stage="broadcast"))
-    return steps
+    owners = np.arange(n)[:, None]
+    draft = Draft()
+    if materialize:
+        chunks = draft.layout.edges(n) + np.arange(n)
+    else:
+        uniform = draft.layout.chunk(n)
 
+    def circulant(hops: list[tuple[int, int]], op: int, stage: str) -> int:
+        """One transfer per (chunk, hop), chunk-major, moving chunk ``c``'s
+        own range when materialized and a uniform ``⌈d/N⌉`` otherwise."""
+        src_off, dst_off = np.array(hops, dtype=np.int64).T
+        src = ((owners + src_off) % n).ravel()
+        dst = ((owners + dst_off) % n).ravel()
+        if materialize:
+            lo = np.repeat(chunks, len(hops))
+            return draft.add(src, dst, lo, lo + 1, op, stage)
+        return draft.add(src, dst, ZERO, uniform, op, stage)
 
-def _profile(
-    n: int, total: int, arcs: list[tuple[int, ...]]
-) -> list[tuple[CommStep, int]]:
-    """Synthetic circulant profile: chain, hub, hub, chain.
-
-    Chain representatives use each arc's steady-state hop (exact once every
-    chain is active; early ramp steps of shorter arcs carry fewer
-    transfers). Hub steps — chord delivery and multicast — are exact
-    patterns. Chunk sizes are uniform ``⌈total/N⌉``.
-    """
-    longest = max(len(arc) for arc in arcs)
-    chunk = min(math.ceil(total / n), total)
-    profile: list[tuple[CommStep, int]] = []
-
-    def circulant(hops: list[tuple[int, int]], op: str, stage: str) -> CommStep:
-        """One transfer per (chunk, hop): offsets are relative to the owner."""
-        return CommStep(
-            tuple(
-                Transfer((c + src_off) % n, (c + dst_off) % n, 0, chunk, op)
-                for c in range(n)
-                for src_off, dst_off in hops
-            ),
-            stage=stage,
-        )
-
+    if materialize:
+        steps = []
+        for s in range(longest):  # reduce-scatter: chains end-aligned, then hub
+            if s == longest - 1:  # delivery: every head chords to the owner
+                hops = [(arc[-1], 0) for arc in arcs]
+            else:
+                hops = []
+                for arc in arcs:
+                    j = s - (longest - len(arc))  # chain hop index (end-aligned)
+                    if 0 <= j < len(arc) - 1:
+                        hops.append((arc[j], arc[j + 1]))
+            steps.append(circulant(hops, SUM, "reduce"))
+        for t in range(longest):  # all-gather: hub multicast, then chains outward
+            if t == 0:  # owner chords the reduced chunk to every head
+                hops = [(0, arc[-1]) for arc in arcs]
+            else:
+                hops = []
+                for arc in arcs:
+                    j = len(arc) - 1 - t  # chains start-aligned (short arcs finish early)
+                    if j >= 0:
+                        hops.append((arc[j + 1], arc[j]))
+            steps.append(circulant(hops, COPY, "broadcast"))
+        return draft.finish(steps, None, keep_steps=True, extras=arcs)
+    # Synthetic circulant profile: chain, hub, hub, chain. Chain
+    # representatives use each arc's steady-state hop (exact once every
+    # chain is active; early ramp steps of shorter arcs carry fewer
+    # transfers). Hub steps — chord delivery and multicast — are exact
+    # patterns.
+    profile = []
     if longest > 1:  # steady-state chain hop of every multi-node arc
         rs_hops = [(arc[-2], arc[-1]) for arc in arcs if len(arc) > 1]
-        profile.append((circulant(rs_hops, "sum", "reduce"), longest - 1))
+        profile.append((circulant(rs_hops, SUM, "reduce"), longest - 1))
     delivery = [(arc[-1], 0) for arc in arcs]  # heads chord to the owner
-    profile.append((circulant(delivery, "sum", "reduce"), 1))
+    profile.append((circulant(delivery, SUM, "reduce"), 1))
     multicast = [(0, arc[-1]) for arc in arcs]  # owner chords to the heads
-    profile.append((circulant(multicast, "copy", "broadcast"), 1))
+    profile.append((circulant(multicast, COPY, "broadcast"), 1))
     if longest > 1:
         ag_hops = [(arc[-1], arc[-2]) for arc in arcs if len(arc) > 1]
-        profile.append((circulant(ag_hops, "copy", "broadcast"), longest - 1))
-    return profile
+        profile.append((circulant(ag_hops, COPY, "broadcast"), longest - 1))
+    return draft.finish(None, profile, keep_steps=False, extras=arcs)
 
 
 def build_scring_schedule(
@@ -174,18 +157,18 @@ def build_scring_schedule(
     check_positive_int("pipeline", pipeline)
     if n_nodes == 1:
         return singleton_schedule("scring", total_elems)
-    arcs = scring_arcs(n_nodes, pipeline)
-    lengths = {len(arc) for arc in arcs}
     if materialize is None:
         materialize = n_nodes <= MATERIALIZE_DEFAULT_LIMIT
-    if materialize:
-        steps: list[CommStep] | None = _materialize(n_nodes, total_elems, arcs)
-        profile = compress_steps(steps)
-        exact = True
-    else:
-        steps = None
-        profile = _profile(n_nodes, total_elems, arcs)
-        exact = len(lengths) == 1 and total_elems % n_nodes == 0
+    materialize = bool(materialize)
+    structure = memoized(
+        ("scring", n_nodes, materialize, pipeline),
+        lambda: _structure(n_nodes, pipeline, materialize),
+    )
+    arcs = structure.extras
+    steps, profile = instantiate(structure, total_elems)
+    exact = materialize or (
+        len({len(arc) for arc in arcs}) == 1 and total_elems % n_nodes == 0
+    )
     return Schedule(
         algorithm="scring",
         n_nodes=n_nodes,

@@ -30,15 +30,19 @@ the result back in a post-step, adding two full-vector steps.
 
 from __future__ import annotations
 
-from repro.collectives.base import (
-    CommStep,
-    Schedule,
-    Transfer,
-    compress_steps,
-    singleton_schedule,
-)
+import numpy as np
+
+from repro.collectives.base import COPY, SUM, Schedule, singleton_schedule
 from repro.collectives.rd import _core_node
-from repro.collectives.ring import MATERIALIZE_DEFAULT_LIMIT, chunk_bounds
+from repro.collectives.ring import MATERIALIZE_DEFAULT_LIMIT
+from repro.collectives.structure import (
+    TOTAL,
+    ZERO,
+    Draft,
+    Structure,
+    instantiate,
+    memoized,
+)
 from repro.util.validation import check_positive_int
 
 
@@ -77,140 +81,75 @@ def _cover_sets(p: int) -> list[dict[int, tuple[int, ...]]]:
     return cover
 
 
-def _block_transfers(
-    src: int, dst: int, blocks: tuple[int, ...], bounds: list[tuple[int, int]], op: str
-) -> list[Transfer]:
-    """One transfer per consecutive run of block ids (blocks are sorted)."""
-    transfers: list[Transfer] = []
+def _block_runs(
+    src: int, dst: int, blocks: tuple[int, ...]
+) -> list[tuple[int, int, int, int]]:
+    """``(src, dst, first block, end block)`` per consecutive run of block
+    ids (blocks are sorted)."""
+    runs = []
     run_start = 0
     for idx in range(1, len(blocks) + 1):
         if idx == len(blocks) or blocks[idx] != blocks[idx - 1] + 1:
-            lo = bounds[blocks[run_start]][0]
-            hi = bounds[blocks[idx - 1]][1]
-            transfers.append(Transfer(src=src, dst=dst, lo=lo, hi=hi, op=op))
+            runs.append((src, dst, blocks[run_start], blocks[idx - 1] + 1))
             run_start = idx
-    return transfers
+    return runs
 
 
-def _materialize(n: int, p: int, r: int, total: int) -> list[CommStep]:
-    k_levels = p.bit_length() - 1
-    bounds = chunk_bounds(total, p)
-    cover = _cover_sets(p)
-    steps: list[CommStep] = []
+def _structure(n: int, materialize: bool) -> Structure:
+    k_levels = n.bit_length() - 1
+    p = 1 << k_levels
+    r = n - p
+    draft = Draft()
+    ranks = np.arange(p)
+    nodes = _core_node(ranks, r)
+    sign = 1 - 2 * (ranks % 2)  # swing_peer for every rank at once
+    peer_ranks = [(ranks + sign * swing_distance(s)) % p for s in range(k_levels)]
+    peers = [_core_node(peer_rank, r) for peer_rank in peer_ranks]
+    folded = np.arange(r)
+    steps: list[int] = []
     if r > 0:  # MPICH fold: odds of the first 2r nodes onto the evens
-        steps.append(
-            CommStep(
-                tuple(
-                    Transfer(src=2 * i + 1, dst=2 * i, lo=0, hi=total, op="sum")
-                    for i in range(r)
-                ),
-                stage="reduce",
-            )
-        )
-    for s in range(k_levels):  # reduce-scatter: send the peer's cover set
-        transfers: list[Transfer] = []
-        for i in range(p):
-            peer = swing_peer(i, s, p)
-            transfers.extend(
-                _block_transfers(
-                    _core_node(i, r), _core_node(peer, r),
-                    cover[s + 1][peer], bounds, "sum",
+        steps.append(draft.add(2 * folded + 1, 2 * folded, ZERO, TOTAL, SUM, "reduce"))
+    if materialize:
+        # One transfer per consecutive block run of the cover set: the
+        # peer's set while reducing, the rank's own while gathering.
+        edges = draft.layout.edges(p)
+        cover = _cover_sets(p)
+
+        def add_runs(s: int, op: int, stage: str, own: bool) -> int:
+            runs = [
+                run
+                for i in range(p)
+                for run in _block_runs(
+                    int(nodes[i]), int(peers[s][i]),
+                    cover[s + 1][i if own else int(peer_ranks[s][i])],
                 )
+            ]
+            src, dst, first, end = np.array(runs, dtype=np.int64).T.copy()
+            return draft.add(src, dst, edges + first, edges + end, op, stage, s + 1)
+
+        steps += [add_runs(s, SUM, "reduce", own=False) for s in range(k_levels)]
+        steps += [
+            add_runs(k_levels - 1 - t, COPY, "broadcast", own=True)
+            for t in range(k_levels)
+        ]
+    else:
+        # One coalesced transfer per (rank, peer) pair of the uniform
+        # ⌈d/P⌉ chunk times the blocks it carries — the same per-pair volume
+        # as the materialized block runs, without the O(N·P) intervals.
+        for s in range(k_levels):
+            size = draft.layout.chunk(p, 1 << (k_levels - s - 1))
+            steps.append(draft.add(nodes, peers[s], ZERO, size, SUM, "reduce", s + 1))
+        for t in range(k_levels):
+            s = k_levels - 1 - t
+            size = draft.layout.chunk(p, 1 << t)
+            steps.append(
+                draft.add(nodes, peers[s], ZERO, size, COPY, "broadcast", s + 1)
             )
-        steps.append(CommStep(tuple(transfers), stage="reduce", level=s + 1))
-    for t in range(k_levels):  # all-gather: mirror, nearest distance first
-        s = k_levels - 1 - t
-        transfers = []
-        for i in range(p):
-            peer = swing_peer(i, s, p)
-            transfers.extend(
-                _block_transfers(
-                    _core_node(i, r), _core_node(peer, r),
-                    cover[s + 1][i], bounds, "copy",
-                )
-            )
-        steps.append(CommStep(tuple(transfers), stage="broadcast", level=s + 1))
     if r > 0:  # hand the result back to the folded odd nodes
-        steps.append(
-            CommStep(
-                tuple(
-                    Transfer(src=2 * i, dst=2 * i + 1, lo=0, hi=total, op="copy")
-                    for i in range(r)
-                ),
-                stage="broadcast",
-            )
-        )
-    return steps
-
-
-def _profile(n: int, p: int, r: int, total: int) -> list[tuple[CommStep, int]]:
-    """Synthetic timing profile: exact (src, dst) pattern, uniform blocks.
-
-    Each core step is a circulant exchange, so the pattern is one coalesced
-    transfer per (rank, peer) pair of ``count · ⌈total/P⌉`` elements —
-    the same per-pair volume as the materialized block runs, without the
-    O(N·P) interval objects.
-    """
-    import math
-
-    k_levels = p.bit_length() - 1
-    chunk = min(math.ceil(total / p), total)
-    profile: list[tuple[CommStep, int]] = []
-    if r > 0:
-        profile.append(
-            (
-                CommStep(
-                    tuple(
-                        Transfer(2 * i + 1, 2 * i, 0, total, "sum") for i in range(r)
-                    ),
-                    stage="reduce",
-                ),
-                1,
-            )
-        )
-    for s in range(k_levels):
-        count = 1 << (k_levels - s - 1)
-        size = min(count * chunk, total)
-        step = CommStep(
-            tuple(
-                Transfer(
-                    _core_node(i, r), _core_node(swing_peer(i, s, p), r),
-                    0, size, "sum",
-                )
-                for i in range(p)
-            ),
-            stage="reduce",
-            level=s + 1,
-        )
-        profile.append((step, 1))
-    for t in range(k_levels):
-        s = k_levels - 1 - t
-        size = min((1 << t) * chunk, total)
-        step = CommStep(
-            tuple(
-                Transfer(
-                    _core_node(i, r), _core_node(swing_peer(i, s, p), r),
-                    0, size, "copy",
-                )
-                for i in range(p)
-            ),
-            stage="broadcast",
-            level=s + 1,
-        )
-        profile.append((step, 1))
-    if r > 0:
-        profile.append(
-            (
-                CommStep(
-                    tuple(
-                        Transfer(2 * i, 2 * i + 1, 0, total, "copy") for i in range(r)
-                    ),
-                    stage="broadcast",
-                ),
-                1,
-            )
-        )
-    return profile
+        steps.append(draft.add(2 * folded, 2 * folded + 1, ZERO, TOTAL, COPY, "broadcast"))
+    if materialize:
+        return draft.finish(steps, None, keep_steps=True)
+    return draft.finish(steps, [(i, 1) for i in steps], keep_steps=False)
 
 
 def build_swing_schedule(
@@ -241,12 +180,11 @@ def build_swing_schedule(
     r = n_nodes - p
     if materialize is None:
         materialize = n_nodes <= MATERIALIZE_DEFAULT_LIMIT
-    if materialize:
-        steps: list[CommStep] | None = _materialize(n_nodes, p, r, total_elems)
-        profile = compress_steps(steps)
-    else:
-        steps = None
-        profile = _profile(n_nodes, p, r, total_elems)
+    materialize = bool(materialize)
+    structure = memoized(
+        ("swing", n_nodes, materialize), lambda: _structure(n_nodes, materialize)
+    )
+    steps, profile = instantiate(structure, total_elems)
     return Schedule(
         algorithm="swing",
         n_nodes=n_nodes,

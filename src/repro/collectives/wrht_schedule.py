@@ -17,37 +17,65 @@ the test suite cross-checks it against the Table 1 closed form.
 
 from __future__ import annotations
 
-from repro.collectives.alltoall import build_alltoall_step
-from repro.collectives.base import CommStep, Schedule, Transfer, compress_steps
+from repro.collectives.alltoall import alltoall_pairs
+from repro.collectives.base import COPY, SUM, Schedule, singleton_schedule
+from repro.collectives.structure import (
+    TOTAL,
+    ZERO,
+    Draft,
+    Structure,
+    instantiate,
+    memoized,
+)
 from repro.core.planner import WrhtPlan, plan_wrht
 from repro.util.validation import check_positive_int
 
 
-def _collect_step(level, total: int) -> CommStep:
+def _level_pairs(level) -> tuple[list[int], list[int]]:
+    """Every group's non-representative members and their representative."""
+    members = [m for g in level.groups for m in g.non_representatives]
+    reps = [g.representative for g in level.groups for _ in g.non_representatives]
+    return members, reps
+
+
+def _collect_step(draft: Draft, level) -> int:
     """All groups of one level collect to their representatives."""
-    transfers = []
-    for group in level.groups:
-        for member in group.non_representatives:
-            transfers.append(
-                Transfer(src=member, dst=group.representative, lo=0, hi=total, op="sum")
-            )
-    if not transfers:
+    members, reps = _level_pairs(level)
+    if not members:
         raise ValueError(
             f"level {level.level} has only singleton groups; "
             "the planner should never produce this"
         )
-    return CommStep(tuple(transfers), stage="reduce", level=level.level)
+    return draft.add(members, reps, ZERO, TOTAL, SUM, "reduce", level.level)
 
 
-def _broadcast_step(level, total: int) -> CommStep:
+def _broadcast_step(draft: Draft, level) -> int:
     """Representatives of one level push the result back to their groups."""
-    transfers = []
-    for group in level.groups:
-        for member in group.non_representatives:
-            transfers.append(
-                Transfer(src=group.representative, dst=member, lo=0, hi=total, op="copy")
-            )
-    return CommStep(tuple(transfers), stage="broadcast", level=level.level)
+    members, reps = _level_pairs(level)
+    return draft.add(reps, members, ZERO, TOTAL, COPY, "broadcast", level.level)
+
+
+def _structure(plan: WrhtPlan, keep_steps: bool) -> Structure:
+    draft = Draft()
+    steps: list[int] = []
+    reduce_levels = plan.levels
+    for level in reduce_levels[:-1]:
+        steps.append(_collect_step(draft, level))
+    last = reduce_levels[-1]
+    if plan.alltoall:
+        src, dst = alltoall_pairs(last.population)
+        steps.append(draft.add(src, dst, ZERO, TOTAL, SUM, "reduce", last.level))
+        bcast_levels = reduce_levels[:-1]
+    else:
+        steps.append(_collect_step(draft, last))
+        bcast_levels = reduce_levels
+    for level in reversed(bcast_levels):
+        steps.append(_broadcast_step(draft, level))
+    if len(steps) != plan.theta:
+        raise AssertionError(
+            f"WRHT schedule has {len(steps)} steps but the plan says θ={plan.theta}"
+        )
+    return draft.finish(steps, None, keep_steps=keep_steps, extras=plan)
 
 
 def build_wrht_schedule(
@@ -75,41 +103,26 @@ def build_wrht_schedule(
     check_positive_int("n_nodes", n_nodes)
     check_positive_int("total_elems", total_elems)
     if n_nodes == 1:
-        from repro.collectives.base import singleton_schedule
-
         return singleton_schedule("wrht", total_elems)
+    keep_steps = materialize is not False
     if plan is None:
-        plan = plan_wrht(n_nodes, n_wavelengths, m=m)
+        structure = memoized(
+            ("wrht", n_nodes, keep_steps, n_wavelengths, m),
+            lambda: _structure(plan_wrht(n_nodes, n_wavelengths, m=m), keep_steps),
+        )
     elif plan.n_nodes != n_nodes:
         raise ValueError(f"plan is for N={plan.n_nodes}, schedule for N={n_nodes}")
-
-    steps: list[CommStep] = []
-    reduce_levels = plan.levels
-    for level in reduce_levels[:-1]:
-        steps.append(_collect_step(level, total_elems))
-    last = reduce_levels[-1]
-    if plan.alltoall:
-        steps.append(
-            build_alltoall_step(
-                last.population, total_elems, stage="reduce", level=last.level
-            )
-        )
-        bcast_levels = reduce_levels[:-1]
     else:
-        steps.append(_collect_step(last, total_elems))
-        bcast_levels = reduce_levels
-    for level in reversed(bcast_levels):
-        steps.append(_broadcast_step(level, total_elems))
-
-    if len(steps) != plan.theta:
-        raise AssertionError(
-            f"WRHT schedule has {len(steps)} steps but the plan says θ={plan.theta}"
+        structure = memoized(
+            ("wrht", n_nodes, keep_steps, plan),
+            lambda: _structure(plan, keep_steps),
         )
+    steps, profile = instantiate(structure, total_elems)
     return Schedule(
         algorithm="wrht",
         n_nodes=n_nodes,
         total_elems=total_elems,
-        steps=steps if materialize is not False else None,
-        timing_profile=compress_steps(steps),
-        meta={"profile_exact": True, "plan": plan},
+        steps=steps,
+        timing_profile=profile,
+        meta={"profile_exact": True, "plan": structure.extras},
     )

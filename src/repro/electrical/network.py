@@ -18,6 +18,7 @@ run timeline. ``execute()`` composes the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Hashable
 
 import numpy as np
 
@@ -143,7 +144,7 @@ class ElectricalNetwork:
             )
         counters = PlanCacheCounters()
         use_cache = self.plan_cache.enabled
-        priced: dict[tuple, ElectricalStepPlan] = {}
+        priced: dict[Hashable, ElectricalStepPlan] = {}
         entries: list[LoweredStep] = []
         for step, count, key in schedule.lowering_profile():
             plan = priced.get(key)
@@ -225,7 +226,7 @@ class ElectricalNetwork:
     def _price_pattern(
         self,
         step: CommStep,
-        pattern_key: tuple,
+        pattern_key: Hashable,
         bytes_per_elem: float,
         use_cache: bool,
         counters: PlanCacheCounters,
@@ -240,21 +241,16 @@ class ElectricalNetwork:
             counters.misses += 1
         with self.metrics.span("electrical.price_pattern"):
             # Routing stays per-pair (graph lookups), but sizes, byte totals
-            # and link shares are computed over numpy arrays instead of a
-            # per-transfer accumulation loop. ``step_bytes`` keeps the
+            # and link shares are computed over the step's arrays instead of
+            # a per-transfer accumulation loop. ``step_bytes`` keeps the
             # transfer-order sequential sum so the floats are bit-identical
             # to the scalar path (numpy pairwise summation could differ in
             # the last ulp).
             paths = [
-                route(self.tree, t.src, t.dst, ecmp=self.config.ecmp)
-                for t in step.transfers
+                route(self.tree, src, dst, ecmp=self.config.ecmp)
+                for src, dst in zip(step.src.tolist(), step.dst.tolist())
             ]
-            sizes = (
-                np.array(
-                    [t.n_elems for t in step.transfers], dtype=np.float64
-                )
-                * bytes_per_elem
-            )
+            sizes = step.n_elems.astype(np.float64) * bytes_per_elem
             step_bytes = float(sum(sizes.tolist()))
             flows = [
                 Flow(

@@ -37,8 +37,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from itertools import chain
-from typing import NamedTuple
+from typing import Hashable, NamedTuple
 
 import numpy as np
 
@@ -292,7 +291,7 @@ class OpticalRingNetwork:
         half = self.config.n_wavelengths // 2
         lower_half = frozenset(range(half))
         upper_half = frozenset(range(half, self.config.n_wavelengths))
-        priced: dict[tuple, tuple[CachedRound, ...]] = {}
+        priced: dict[Hashable, tuple[CachedRound, ...]] = {}
         entries: list[LoweredStep] = []
         for index, (step, count, key) in enumerate(schedule.lowering_profile()):
             extra_blocked = None
@@ -517,7 +516,7 @@ class OpticalRingNetwork:
                 for t, r in zip(transfers, routes)
             ]
         rounds = self._solve_rounds(step, routes, route_blocked, extra_blocked)
-        payloads, durations = self._payload_arrays(transfers, bytes_per_elem)
+        payloads, durations = self._payload_arrays(step, bytes_per_elem)
         circuit_rounds: list[list[Circuit]] = []
         for assignment in rounds:
             circuits = [
@@ -539,16 +538,13 @@ class OpticalRingNetwork:
         return circuit_rounds
 
     def _payload_arrays(
-        self, transfers, bytes_per_elem: float
+        self, step: CommStep, bytes_per_elem: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Payload bytes and serialization seconds of every transfer, in
-        one numpy pass each: bit-identical element-wise to the scalar
-        ``CostModel.payload_time`` path (see ``payload_times``), which
-        also rejects a negative payload."""
-        payloads = (
-            np.array([t.n_elems for t in transfers], dtype=np.float64)
-            * bytes_per_elem
-        )
+        one numpy pass each from the step's arrays: bit-identical
+        element-wise to the scalar ``CostModel.payload_time`` path (see
+        ``payload_times``), which also rejects a negative payload."""
+        payloads = step.n_elems.astype(np.float64) * bytes_per_elem
         return payloads, self._cost.payload_times(payloads)
 
     def _rwa_context(
@@ -716,7 +712,7 @@ class OpticalRingNetwork:
     def _price_pattern(
         self,
         step: CommStep,
-        pattern_key: tuple,
+        pattern_key: Hashable,
         bytes_per_elem: float,
         use_cache: bool,
         reuse: bool,
@@ -776,18 +772,14 @@ class OpticalRingNetwork:
         """
         key = None
         if reuse:
-            transfers = step.transfers
-            pairs = np.fromiter(
-                chain.from_iterable((t.src, t.dst) for t in transfers),
-                dtype=np.int64, count=2 * len(transfers),
-            )
+            pairs = np.stack((step.src, step.dst), axis=1)
             key = (pairs.tobytes(), extra_blocked)
             solved = self._solved.get(key)
             if solved is not None:
                 self._solved.move_to_end(key)
                 if self.metrics.enabled:
                     self.metrics.inc("rwa.solve_reused")
-                return (solved, *self._payload_arrays(transfers, bytes_per_elem))
+                return (solved, *self._payload_arrays(step, bytes_per_elem))
         circuit_rounds = self.plan_step_rounds(
             step, bytes_per_elem, extra_blocked=extra_blocked
         )

@@ -118,15 +118,20 @@ def split_tuning(
     ``free_s`` the slowest among claims on channels the previous round
     never drives (may race its transmission).
     """
-    prev = frozenset(prev_claims)
-    prev_channels = frozenset((d, f, lam) for (_, d, f, lam) in sorted(prev))
+    prev = prev_claims if isinstance(prev_claims, frozenset) else frozenset(prev_claims)
+    # Only membership is read, so the order the channels are collected in
+    # cannot matter; nor can the claims' order (``max`` is exact).
+    prev_channels = {claim[1:] for claim in prev_claims}
+    tunes: dict[int, float] = {}  # each wavelength priced once per call
     blocked = 0.0
     free = 0.0
     for claim in claims:
         if claim in prev:
             continue  # held — the MRR is already locked on this channel
-        tune = model.claim_tune_s(claim[3])
-        if (claim[1], claim[2], claim[3]) in prev_channels:
+        tune = tunes.get(claim[3])
+        if tune is None:
+            tune = tunes[claim[3]] = model.claim_tune_s(claim[3])
+        if claim[1:] in prev_channels:
             blocked = max(blocked, tune)
         else:
             free = max(free, tune)

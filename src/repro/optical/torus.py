@@ -20,6 +20,7 @@ pricing, spill-to-rounds under wavelength scarcity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Hashable
 
 from repro.backend.errors import BackendConfigError
 from repro.backend.plancache import (
@@ -193,9 +194,8 @@ class TorusOpticalNetwork:
         result = TorusRunResult(
             algorithm=schedule.algorithm, n_steps=schedule.n_steps, total_time=0.0
         )
-        cache: dict[tuple, TorusStepTiming] = {}
-        for step, count in schedule.timing_profile:
-            key = step.pattern_key()
+        cache: dict[Hashable, TorusStepTiming] = {}
+        for step, count, key in schedule.lowering_profile():
             timing = cache.get(key)
             if timing is None:
                 timing = self._time_step(
@@ -211,7 +211,7 @@ class TorusOpticalNetwork:
         step: CommStep,
         count: int,
         bytes_per_elem: float,
-        pattern_key: tuple,
+        pattern_key: Hashable,
         counters: PlanCacheCounters,
     ) -> TorusStepTiming:
         use_cache = self.plan_cache.enabled

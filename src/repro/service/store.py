@@ -5,8 +5,10 @@ process, so every fresh worker / daemon restart re-prices every pattern
 from scratch. :class:`PlanStore` spills priced summaries to versioned
 on-disk shards that any number of processes can share:
 
-- **Keys** are the exact hashable tuples the lowering seams already build —
-  ``(pattern_key, config fingerprint, bytes_per_elem)`` and the
+- **Keys** are the exact hashable keys the lowering seams already build —
+  ``(pattern_key, config fingerprint, bytes_per_elem)``, where the pattern
+  key is the step's sorted transfer rows as bytes
+  (:meth:`~repro.collectives.base.CommStep.pattern_key`), and the
   delta-salted ``("delta", base, diff)`` keys of incremental repair — so a
   repaired plan can never alias a from-scratch one on disk either. Keys are
   digested with SHA-256 over their ``repr`` (the frozen config dataclasses
@@ -53,8 +55,11 @@ from repro.backend.plancache import (
 )
 
 #: On-disk format version; bumped on any incompatible change. Files with a
-#: different version are ignored (counted, not crashed on).
-STORE_VERSION = 1
+#: different version are ignored (counted in ``stale_files``, not crashed
+#: on). Version 2: pattern keys became bytes instead of tuples of
+#: ``(src, dst, n_elems, op)`` tuples, so a version-1 store is skipped as
+#: stale (it could never hit, never wrongly).
+STORE_VERSION = 2
 
 #: Environment variable naming the store root. When set, sweep workers
 #: (and anything else calling :func:`ensure_worker_store`) install a
@@ -68,7 +73,7 @@ def key_digest(key: Hashable) -> str:
     """Stable cross-process digest of a plan-cache key.
 
     SHA-256 over ``repr(key)``: the keys are tuples of frozen dataclasses,
-    strings and numbers whose reprs are normalized, so equal keys digest
+    bytes, strings and numbers whose reprs are normalized, so equal keys digest
     identically in every process (the same property
     :func:`repro.obs.manifest.fingerprint` relies on).
     """

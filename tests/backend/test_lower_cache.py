@@ -8,6 +8,8 @@ replay, LRU eviction, and no stale reuse when the configuration changes.
 
 import dataclasses
 
+import pytest
+
 from repro.backend import (
     AnalyticBackend,
     OpticalBackend,
@@ -143,3 +145,37 @@ class TestDisabledCache:
         assert a.cache.hits == b.cache.hits == 0
         assert len(cache) == 0
         assert a.total_time == b.total_time
+
+
+class TestKeyIsOrderFree:
+    """A step reuses another schedule's plan when it moves the same
+    (src, dst, size, op) multiset in a different order: SCRing's chain
+    step at N=64 is Ring's reduce-scatter step, listed chunk-major. An
+    order-sensitive key would turn each hit below into a miss."""
+
+    @staticmethod
+    def _backend(kind, cache):
+        from repro.backend import registry
+        from repro.electrical.config import ElectricalSystemConfig
+
+        if kind == "electrical":
+            config = ElectricalSystemConfig(n_nodes=64)
+            return registry.create("electrical", config=config, plan_cache=cache)
+        w, t_tune = {"optical-w64": (64, 0.0), "optical-w8-tune": (8, 25e-6)}[kind]
+        config = OpticalSystemConfig(n_nodes=64, n_wavelengths=w, t_tune=t_tune)
+        return registry.create("optical", config=config, plan_cache=cache)
+
+    @pytest.mark.parametrize("kind", ["optical-w64", "optical-w8-tune", "electrical"])
+    def test_scring_hits_ring_plan(self, kind):
+        elems = 25_000_000
+        cache = PlanCache(maxsize=4096)
+        backend = self._backend(kind, cache)
+        backend.run(build_schedule("ring", 64, elems), bytes_per_elem=4.0)
+        scring = build_schedule("scring", 64, elems, pipeline=1)
+        shared = backend.run(scring, bytes_per_elem=4.0)
+        alone = self._backend(kind, PlanCache(maxsize=4096)).run(
+            build_schedule("scring", 64, elems, pipeline=1), bytes_per_elem=4.0
+        )
+        assert shared.cache.hits >= 1
+        assert alone.cache.hits == 0
+        assert shared.total_time == alone.total_time

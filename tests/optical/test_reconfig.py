@@ -218,6 +218,54 @@ class TestExclusivityProperties:
         assert not errors(verify_plan(context=context))
 
 
+def _split_tuning_reference(model, prev_claims, claims):
+    """``split_tuning`` as it was: sorts the previous claims on every call
+    and prices every claim's wavelength again."""
+    prev = frozenset(prev_claims)
+    prev_channels = frozenset((d, f, lam) for (_, d, f, lam) in sorted(prev))
+    blocked = 0.0
+    free = 0.0
+    for claim in claims:
+        if claim in prev:
+            continue
+        tune = model.claim_tune_s(claim[3])
+        if (claim[1], claim[2], claim[3]) in prev_channels:
+            blocked = max(blocked, tune)
+        else:
+            free = max(free, tune)
+    return blocked, free
+
+
+class TestSplitTuningReference:
+    """``split_tuning`` reads the claims in their given order and prices
+    each wavelength once per call; the exposure classes must match the
+    sorting reference bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prev=_claims, cur=_claims, shuffle=st.randoms(use_true_random=False),
+        as_set=st.booleans(), per_channel=st.sampled_from([0.0, 1e-7, 3e-9]),
+    )
+    def test_matches_reference(self, prev, cur, shuffle, as_set, per_channel):
+        model = ReconfigModel(t_tune=T_TUNE, tune_per_channel=per_channel)
+        prev, cur = list(prev), list(cur)
+        shuffle.shuffle(prev)
+        shuffle.shuffle(cur)
+        prev_arg = frozenset(prev) if as_set else tuple(prev)
+        assert split_tuning(model, prev_arg, tuple(cur)) == (
+            _split_tuning_reference(model, prev_arg, tuple(cur))
+        )
+
+    def test_empty_claims(self):
+        model = ReconfigModel(t_tune=T_TUNE)
+        claims = ((0, "cw", 0, 3), (1, "ccw", 1, 0))
+        for prev in ((), frozenset()):
+            assert split_tuning(model, prev, claims) == (
+                _split_tuning_reference(model, prev, claims)
+            )
+            assert split_tuning(model, claims, prev) == (0.0, 0.0)
+
+
 class TestPlan008:
     def _tuned_plan(self):
         net = _net(8, 8, t_tune=T_TUNE)
