@@ -5,7 +5,7 @@ Two measurements, written to ``BENCH_rwa.json`` at the repo root:
 1. **Kernel micro-benchmark** — ``plan_rounds`` on the hardest step shapes
    (dense all-to-all among evenly spaced representatives; the heaviest WRHT
    step) at N ∈ {64, 256, 1024}, timed against the verbatim seed kernel
-   preserved in :mod:`repro.optical._rwa_reference`. Round structure is
+   preserved in ``tests/optical/rwa_reference.py``. Round structure is
    asserted identical before any number is reported.
 2. **Fig 6-style sweep** — a simulated-mode cluster-size sweep, seed-style
    (reference kernel, no plan cache, serial) vs the shipped configuration
@@ -23,13 +23,13 @@ from repro.collectives.alltoall import build_alltoall_step
 from repro.collectives.registry import build_schedule
 from repro.dnn.workload import PAPER_WORKLOADS
 from repro.obs.benchgate import BenchSchema, Section
-from repro.optical._rwa_reference import plan_rounds_reference
 from repro.optical.config import OpticalSystemConfig
 from repro.optical.network import OpticalRingNetwork
 from repro.backend.plancache import default_plan_cache
 from repro.optical.rwa import plan_rounds
 from repro.runner.experiments import clear_network_caches, run_fig6
 from repro.util.tables import AsciiTable
+from tests.optical.rwa_reference import plan_rounds_reference
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_rwa.json"
 

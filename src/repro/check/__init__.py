@@ -34,14 +34,13 @@ from repro.check.findings import (
     has_errors,
     render_findings,
 )
-from repro.check.intervals import Claim, Conflict, IntervalSetMap, find_conflicts
+from repro.check.intervals import Claim, Conflict, find_conflicts
 
 __all__ = [
     "CheckContext",
     "Claim",
     "Conflict",
     "Finding",
-    "IntervalSetMap",
     "PlanVerificationError",
     "Rule",
     "Severity",

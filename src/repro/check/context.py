@@ -35,9 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optical.circuit import Circuit
     from repro.optical.config import OpticalSystemConfig
 
-#: Entry-count × transfer-count product above which the symbolic dataflow
-#: rule reports an INFO skip instead of analyzing (keeps paper-scale golden
-#: plans cheap to verify; adversarial tests run far below it).
+#: Total transfer count over a schedule's materialized steps above which
+#: the symbolic dataflow rule reports an INFO skip instead of analyzing
+#: (keeps paper-scale golden plans cheap to verify; adversarial tests run
+#: far below it).
 DATAFLOW_SIZE_LIMIT = 200_000
 
 
@@ -57,8 +58,9 @@ class CheckContext:
             the port-budget rule; defaults to ``config.n_wavelengths``.
         circuit_rounds: ``profile-entry index -> rounds of circuits`` for
             the circuit-level rules (``None`` entries are skipped).
-        dataflow_size_limit: Cap on ``n_steps × transfers`` above which the
-            dataflow rule skips with an INFO finding.
+        dataflow_size_limit: Cap on the transfers summed over the
+            materialized steps, above which the dataflow rule skips with
+            an INFO finding.
     """
 
     plan: LoweredPlan | None = None

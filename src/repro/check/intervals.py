@@ -19,16 +19,22 @@ The module is dependency-free (no ``repro`` imports) so that both the
 legacy entry points and the :mod:`repro.check` rules can route through it
 without import cycles.
 
-For the wavelength case it is the enumerator, not the gate: every optical
-round is first decided by the sorted int64 keys of
-:func:`repro.optical.circuit.circuit_conflicts`, and only a round that test
-cannot prove clean (a real collision, or ids the key cannot hold) is turned
-into claims and swept here.
+In both cases it is the enumerator, not the gate: every optical round is
+first decided by the sorted int64 keys of
+:func:`repro.optical.circuit.circuit_conflicts`, and every step's writes by
+one sort in :func:`repro.collectives.verify.step_write_conflicts`; only a
+round or step that test cannot prove clean (a real collision, or ids the
+key cannot hold) is turned into claims and swept here.
+
+:class:`RankRuns` is the other interval structure the rules share: the
+per-node element runs of the dataflow rule (PLAN003), each holding an int
+bitmask of the ranks whose contributions it carries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import Hashable
 
 
@@ -112,114 +118,132 @@ def find_conflicts(claims: list[Claim], first_only: bool = False) -> list[Confli
     return conflicts
 
 
-@dataclass
-class IntervalSetMap:
-    """Map from half-open intervals to frozensets, with exact algebra.
 
-    The symbolic dataflow rule tracks, for every node, *which source ranks'
-    contributions* each element range currently holds. This container keeps
-    disjoint, sorted ``(lo, hi, frozenset)`` runs and supports the two
-    operations execution semantics need: overwrite a range (``copy``) and
-    union-in a range (``sum``).
 
-    Runs are merged eagerly when adjacent with equal sets, so long schedules
-    do not fragment the map.
+def ranks_of(mask: int) -> list[int]:
+    """The set bits of ``mask`` as a sorted rank list (bit ``r`` = rank ``r``)."""
+    return [r for r, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+
+
+class RankRuns:
+    """Which ranks' contributions each element range of one node holds.
+
+    The symbolic dataflow rule (PLAN003) keeps one of these per node. The
+    range ``[0, total)`` is cut into disjoint runs held as two parallel
+    lists: the sorted run starts, and one int bitmask per run (bit ``r``
+    set iff rank ``r``'s contribution is in). Adjacent runs always differ,
+    so the representation of a given state is unique. A write finds the
+    touched runs by bisection, splices them with one slice assignment and
+    merges equal neighbours only at its two ends.
+
+    What a range holds (:meth:`read`, and the input of :meth:`write` and
+    :meth:`add`) is either one mask, when a single run covers the range,
+    or a ``(starts, masks)`` pair of runs clipped to it: the common case
+    then keeps no container alive between a step's reads and its writes.
     """
 
-    total: int
-    initial: frozenset
-    _runs: list[tuple[int, int, frozenset]] = field(default_factory=list)
+    __slots__ = ("total", "starts", "masks")
 
-    def __post_init__(self) -> None:
-        if self.total <= 0:
-            raise ValueError(f"total must be positive, got {self.total!r}")
-        if not self._runs:
-            self._runs = [(0, self.total, self.initial)]
+    def __init__(self, total: int, mask: int) -> None:
+        self.total = total
+        self.starts = [0]
+        self.masks = [mask]
 
-    def _check_range(self, lo: int, hi: int) -> None:
-        if not (0 <= lo < hi <= self.total):
+    def _locate(self, lo: int, hi: int) -> tuple[int, int]:
+        """Indices of the runs holding ``lo`` and just past ``hi - 1``."""
+        if not 0 <= lo < hi <= self.total:
             raise ValueError(f"range [{lo}, {hi}) outside [0, {self.total})")
+        i = bisect_right(self.starts, lo) - 1
+        return i, bisect_left(self.starts, hi, i + 1)
 
-    def slice(self, lo: int, hi: int) -> list[tuple[int, int, frozenset]]:
-        """The runs covering ``[lo, hi)``, clipped to it."""
-        self._check_range(lo, hi)
-        out = []
-        for rlo, rhi, value in self._runs:
-            if rhi <= lo or rlo >= hi:
-                continue
-            out.append((max(rlo, lo), min(rhi, hi), value))
-        return out
+    def read(self, lo: int, hi: int) -> int | tuple[list[int], list[int]]:
+        """What ``[lo, hi)`` holds: one mask, or its clipped runs.
 
-    def _splice(self, lo: int, hi: int, pieces: list[tuple[int, int, frozenset]]) -> None:
-        """Replace the ``[lo, hi)`` portion with ``pieces`` and re-merge."""
-        rebuilt: list[tuple[int, int, frozenset]] = []
-        for rlo, rhi, value in self._runs:
-            if rhi <= lo or rlo >= hi:
-                rebuilt.append((rlo, rhi, value))
-                continue
-            if rlo < lo:
-                rebuilt.append((rlo, lo, value))
-            if rhi > hi:
-                rebuilt.append((hi, rhi, value))
-        rebuilt.extend(pieces)
-        rebuilt.sort(key=lambda r: r[0])
-        merged: list[tuple[int, int, frozenset]] = []
-        for rlo, rhi, value in rebuilt:
-            if merged and merged[-1][1] == rlo and merged[-1][2] == value:
-                merged[-1] = (merged[-1][0], rhi, value)
-            else:
-                merged.append((rlo, rhi, value))
-        self._runs = merged
+        Raises:
+            ValueError: If ``[lo, hi)`` is empty or leaves ``[0, total)``.
+        """
+        i, j = self._locate(lo, hi)
+        if j == i + 1:
+            return self.masks[i]
+        return [lo, *self.starts[i + 1 : j]], self.masks[i:j]
 
-    def overwrite(self, lo: int, hi: int, pieces: list[tuple[int, int, frozenset]]) -> None:
-        """``copy`` semantics: ``[lo, hi)`` becomes exactly ``pieces``."""
-        self._check_range(lo, hi)
-        self._splice(lo, hi, pieces)
+    def write(self, lo: int, hi: int, held: int | tuple[list[int], list[int]]) -> None:
+        """``copy`` semantics: ``[lo, hi)`` becomes exactly ``held``."""
+        i, j = self._locate(lo, hi)
+        if type(held) is int:
+            self._splice(i, j, lo, hi, [lo], [held])
+        else:
+            self._splice(i, j, lo, hi, *held)
 
-    def union(
-        self, lo: int, hi: int, pieces: list[tuple[int, int, frozenset]]
-    ) -> list[tuple[int, int, frozenset]]:
-        """``sum`` semantics: union each incoming piece into what is held.
+    def add(
+        self, lo: int, hi: int, incoming: int | tuple[list[int], list[int]]
+    ) -> list[tuple[int, int, int]]:
+        """``sum`` semantics: OR ``incoming`` into what ``[lo, hi)`` holds.
 
         Returns:
-            Double-count evidence: ``(lo, hi, ranks)`` sub-intervals where
-            the incoming piece carried ranks the map already held. Under
-            the no-duplicate invariant the frozensets remain a faithful
-            multiset abstraction, so a non-empty return is exactly a
-            conservation violation.
+            Double-count evidence: ``(lo, hi, ranks)`` for every piece of
+            the common refinement where the incoming run carried ranks
+            already held. Contributions are never duplicated while this
+            list stays empty, so the bitmasks remain a faithful multiset
+            abstraction and a non-empty return is exactly a conservation
+            violation.
         """
-        self._check_range(lo, hi)
-        current = self.slice(lo, hi)
-        merged: list[tuple[int, int, frozenset]] = []
-        duplicates: list[tuple[int, int, frozenset]] = []
-        bounds = sorted(
-            {lo, hi}
-            | {b for plo, phi, _ in pieces for b in (plo, phi)}
-            | {b for clo, chi, _ in current for b in (clo, chi)}
+        i, j = self._locate(lo, hi)
+        if j == i + 1 and type(incoming) is int:
+            held = self.masks[i]
+            self._splice(i, j, lo, hi, [lo], [held | incoming])
+            both = held & incoming
+            return [(lo, hi, both)] if both else []
+        held_starts = [lo, *self.starts[i + 1 : j]]
+        held_masks = self.masks[i:j]
+        starts, masks = (
+            ([lo], [incoming]) if type(incoming) is int else incoming
         )
-        for blo, bhi in zip(bounds, bounds[1:]):
-            held = frozenset()
-            for clo, chi, value in current:
-                if clo <= blo and chi >= bhi:
-                    held = value
-                    break
-            incoming = frozenset()
-            for plo, phi, value in pieces:
-                if plo <= blo and phi >= bhi:
-                    incoming = value
-                    break
-            dup = held & incoming
-            if dup:
-                duplicates.append((blo, bhi, dup))
-            merged.append((blo, bhi, held | incoming))
-        self._splice(lo, hi, merged)
+        n_held, n_in = len(held_starts), len(starts)
+        out_starts, out_masks, duplicates = [], [], []
+        a = b = 0
+        pos = lo
+        while pos < hi:
+            a_end = held_starts[a + 1] if a + 1 < n_held else hi
+            b_end = starts[b + 1] if b + 1 < n_in else hi
+            end = a_end if a_end < b_end else b_end
+            mask, extra = held_masks[a], masks[b]
+            if mask & extra:
+                duplicates.append((pos, end, mask & extra))
+            out_starts.append(pos)
+            out_masks.append(mask | extra)
+            pos = end
+            if a_end == end:
+                a += 1
+            if b_end == end:
+                b += 1
+        self._splice(i, j, lo, hi, out_starts, out_masks)
         return duplicates
 
-    def values_over(self, lo: int, hi: int) -> list[frozenset]:
-        """Distinct sets held across ``[lo, hi)`` (one per run)."""
-        return [value for _, _, value in self.slice(lo, hi)]
-
-    def uniform_value(self) -> frozenset | None:
-        """The single set held over the whole range, or ``None`` if mixed."""
-        values = {value for _, _, value in self._runs}
-        return next(iter(values)) if len(values) == 1 else None
+    def _splice(
+        self, i: int, j: int, lo: int, hi: int, starts: list[int], masks: list[int]
+    ) -> None:
+        """Replace ``[lo, hi)`` — held runs ``i`` (holding ``lo``) through
+        ``j - 1`` (holding ``hi - 1``) — by the given runs, merging equal
+        neighbours inside them and at both ends."""
+        held_starts, held_masks = self.starts, self.masks
+        if held_starts[i] < lo:
+            first, prev = i + 1, held_masks[i]
+        else:
+            first, prev = i, held_masks[i - 1] if i else None
+        new_starts, new_masks = [], []
+        for start, mask in zip(starts, masks):
+            if mask != prev:
+                new_starts.append(start)
+                new_masks.append(mask)
+                prev = mask
+        last = j
+        if hi < self.total:
+            if j < len(held_starts) and held_starts[j] == hi:
+                if held_masks[j] == prev:
+                    last = j + 1
+            elif held_masks[j - 1] != prev:
+                new_starts.append(hi)
+                new_masks.append(held_masks[j - 1])
+        held_starts[first:last] = new_starts
+        held_masks[first:last] = new_masks

@@ -43,12 +43,17 @@ runtime.
 
 from __future__ import annotations
 
+import struct
+from itertools import chain
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.check.context import CheckContext
 from repro.check.engine import register_rule
 from repro.check.findings import Finding, Severity
-from repro.check.intervals import IntervalSetMap
+from repro.check.intervals import RankRuns, ranks_of
+from repro.collectives.base import COPY, SUM
 from repro.core.constraints import OpticalPhyParams, max_group_size
 from repro.core.steps import (
     bt_steps,
@@ -59,10 +64,10 @@ from repro.core.steps import (
     wrht_steps,
 )
 from repro.core.wavelengths import optimal_group_size
-from repro.optical.circuit import circuit_conflicts, describe_conflict
+from repro.optical.circuit import circuit_conflicts, describe_conflict, exact_int64
 from repro.optical.node import node_violations
 from repro.optical.phy import path_feasible
-from repro.optical.topology import Route
+from repro.optical.topology import Direction, Route
 
 
 def route_phy_findings(
@@ -226,14 +231,17 @@ def rule_dataflow_conservation(ctx: CheckContext) -> Iterator[Finding]:
     """Symbolic chunk-dataflow conservation over the materialized steps.
 
     Tracks, per node and element interval, the *set of ranks* whose
-    contribution that interval currently holds. ``copy`` overwrites,
+    contribution that interval currently holds, as an int bitmask per run
+    (:class:`~repro.check.intervals.RankRuns`). ``copy`` overwrites,
     ``sum`` unions — and a union that brings in a rank the destination
     already holds is a double count (set algebra plus the no-duplicate
     check makes the sets a faithful multiset abstraction). The All-reduce
     postcondition is then: every node uniformly holds the full rank set.
+    Each step's transfer arrays are read once; a bitmask becomes a rank
+    list only where a finding prints it.
     """
     schedule = ctx.schedule
-    work = sum(len(step.transfers) for step in schedule.steps)
+    work = sum(step.n_transfers for step in schedule.steps)
     if work > ctx.dataflow_size_limit:
         yield Finding(
             "PLAN003", Severity.INFO,
@@ -242,28 +250,29 @@ def rule_dataflow_conservation(ctx: CheckContext) -> Iterator[Finding]:
         )
         return
     n, total = schedule.n_nodes, schedule.total_elems
-    held = [IntervalSetMap(total=total, initial=frozenset({i})) for i in range(n)]
+    held = [RankRuns(total, 1 << i) for i in range(n)]
     emitted = 0
     for step_no, step in enumerate(schedule.steps):
+        src, dst, lo, hi, op = step.src, step.dst, step.lo, step.hi, step.op
+        keep = hi > lo
+        if not keep.all():
+            src, dst, lo, hi, op = (a[keep] for a in (src, dst, lo, hi, op))
+        src, dst, lo, hi, op = (a.tolist() for a in (src, dst, lo, hi, op))
         # Bulk-synchronous: snapshot all reads before any write lands.
-        reads = [
-            (t, held[t.src].slice(t.lo, t.hi))
-            for t in step.transfers
-            if t.n_elems > 0
-        ]
-        for t, pieces in reads:
-            if t.op == "copy":
-                held[t.dst].overwrite(t.lo, t.hi, pieces)
-        for t, pieces in reads:
-            if t.op != "sum":
+        reads = [held[s].read(l, h) for s, l, h in zip(src, lo, hi)]
+        for d, l, h, o, got in zip(dst, lo, hi, op, reads):
+            if o == COPY:
+                held[d].write(l, h, got)
+        for s, d, l, h, o, got in zip(src, dst, lo, hi, op, reads):
+            if o != SUM:
                 continue
-            for lo, hi, dup in held[t.dst].union(t.lo, t.hi, pieces):
+            for dup_lo, dup_hi, dup in held[d].add(l, h, got):
                 if emitted < 16:
                     yield Finding(
                         "PLAN003", Severity.ERROR,
-                        f"node {t.dst} double-counts contribution(s) "
-                        f"{sorted(dup)} over [{lo}, {hi}) "
-                        f"(sum from node {t.src})",
+                        f"node {d} double-counts contribution(s) "
+                        f"{ranks_of(dup)} over [{dup_lo}, {dup_hi}) "
+                        f"(sum from node {s})",
                         step_index=step_no,
                     )
                 emitted += 1
@@ -277,14 +286,13 @@ def rule_dataflow_conservation(ctx: CheckContext) -> Iterator[Finding]:
     )
     for node in range(n):
         expected = full if node in full else frozenset({node})
-        value = held[node].uniform_value()
-        if value == expected:
+        bounds = [*held[node].starts, total]
+        for k, mask in enumerate(held[node].masks):
+            got = frozenset(ranks_of(mask))
+            if got != expected:
+                break
+        else:
             continue
-        sample = held[node].slice(0, total)
-        lo, hi, got = next(
-            ((lo, hi, v) for lo, hi, v in sample if v != expected),
-            (0, total, value or frozenset()),
-        )
         missing = sorted(expected - got)[:8]
         extra = sorted(got - expected)[:8]
         parts = []
@@ -294,8 +302,8 @@ def rule_dataflow_conservation(ctx: CheckContext) -> Iterator[Finding]:
             parts.append(f"unexpected ranks {extra}")
         yield Finding(
             "PLAN003", Severity.ERROR,
-            f"node {node} ends with incomplete reduction over [{lo}, {hi}): "
-            + "; ".join(parts),
+            f"node {node} ends with incomplete reduction over "
+            f"[{bounds[k]}, {bounds[k + 1]}): " + "; ".join(parts),
             details={"node": node},
         )
 
@@ -471,6 +479,74 @@ def rule_write_conflicts(ctx: CheckContext) -> Iterator[Finding]:
             )
 
 
+class _FaultTables:
+    """A fault set as lookup tables, built once per context for PLAN007.
+
+    ``dead[λ]``, ``banned[direction, node, λ]`` (a port that cannot
+    terminate λ), ``cut[direction, segment]`` and
+    ``quarantined[direction, λ, segment]`` over the config's nodes,
+    segments and wavelengths; direction 0 is CW, 1 is CCW. A circuit whose
+    ids fall outside the tables is always flagged, so :meth:`flagged`
+    never misses a violation; the per-circuit messages decide.
+    """
+
+    def __init__(self, config, faults, dead_lams, quarantine) -> None:
+        n, w = config.n_nodes, config.n_wavelengths
+        self.n, self.w = n, w
+        self.dead = np.zeros(w, dtype=bool)
+        self.dead[[lam for lam in dead_lams if 0 <= lam < w]] = True
+        self.banned = np.zeros((2, n, w), dtype=bool)
+        self.cut = np.zeros((2, n), dtype=bool)
+        for d, direction in enumerate((Direction.CW, Direction.CCW)):
+            for f in faults.port_faults:
+                for lam in faults.endpoint_blocked(f.node, direction):
+                    if 0 <= f.node < n and 0 <= lam < w:
+                        self.banned[d, f.node, lam] = True
+            for seg in faults.cut_segments:
+                if 0 <= seg < n and faults.is_cut(seg, direction):
+                    self.cut[d, seg] = True
+        self.quarantined = np.zeros((2, w, n), dtype=bool)
+        for (direction, lam), span in quarantine.items():
+            if 0 <= lam < w:
+                segs = [seg for seg in range(n) if span >> seg & 1]
+                self.quarantined[int(direction is Direction.CCW), lam, segs] = True
+        self.has_span = self.quarantined.any(axis=2)
+        self.has_cut = self.cut.any(axis=1)
+
+    def flagged(self, circuits: list) -> list[int]:
+        """Indices, in order, of the circuits that may use a failed
+        resource: a superset of the violators."""
+        try:
+            lam = exact_int64([c.wavelength for c in circuits])
+            src = exact_int64([c.transfer.src for c in circuits])
+            dst = exact_int64([c.transfer.dst for c in circuits])
+        except struct.error:
+            return list(range(len(circuits)))
+        ccw = np.array(
+            [c.route.direction is Direction.CCW for c in circuits], dtype=np.intp
+        )
+        out = (lam >= self.w) | (np.minimum(src, dst) < 0) | (
+            np.maximum(src, dst) >= self.n
+        )
+        lam, src, dst = (np.where(out, 0, a) for a in (lam, src, dst))
+        flag = out | self.dead[lam] | self.banned[ccw, src, lam]
+        flag |= self.banned[ccw, dst, lam]
+        # Segment tests only for circuits on a direction with a cut or a
+        # (direction, λ) with a quarantined span.
+        probe = np.flatnonzero(~flag & (self.has_cut[ccw] | self.has_span[ccw, lam]))
+        if probe.size:
+            routes = [circuits[i].route.segments for i in probe.tolist()]
+            hops = np.array([len(r) for r in routes])
+            segs = np.fromiter(chain.from_iterable(routes), np.int64, int(hops.sum()))
+            bad = (segs < 0) | (segs >= self.n)
+            segs = np.where(bad, 0, segs)
+            p_ccw, p_lam = np.repeat(ccw[probe], hops), np.repeat(lam[probe], hops)
+            bad |= self.cut[p_ccw, segs] | self.quarantined[p_ccw, p_lam, segs]
+            starts = np.concatenate(([0], np.cumsum(hops)[:-1]))
+            flag[probe] = np.logical_or.reduceat(bad, starts)
+        return np.flatnonzero(flag).tolist()
+
+
 @register_rule(
     "PLAN007", "no circuit or transfer uses a failed resource", needs=("config",)
 )
@@ -481,7 +557,9 @@ def rule_no_failed_resources(ctx: CheckContext) -> Iterator[Finding]:
     wavelengths, banned MRR endpoint ports, quarantined (stuck-MRR) spans,
     cut fiber segments — and every scheduled transfer against the dropped
     nodes. Yields nothing for a fault-free config, so healthy plans verify
-    at zero cost.
+    at zero cost. Each round is first flagged with array lookups in
+    :class:`_FaultTables`; the per-circuit messages run only on the
+    flagged circuits, in round order.
     """
     config = ctx.config
     faults = config.faults
@@ -492,21 +570,23 @@ def rule_no_failed_resources(ctx: CheckContext) -> Iterator[Finding]:
     quarantine = faults.segment_quarantine_masks(config.n_nodes)
     if dead_nodes:
         for index, (step, _count) in enumerate(ctx.profile()):
-            for t in step.transfers:
-                for node in (t.src, t.dst):
+            for src, dst in zip(step.src.tolist(), step.dst.tolist()):
+                for node in (src, dst):
                     if node in dead_nodes:
                         yield Finding(
                             "PLAN007", Severity.ERROR,
-                            f"transfer {t.src} -> {t.dst} touches dropped "
+                            f"transfer {src} -> {dst} touches dropped "
                             f"node {node} — the schedule must shrink to "
                             "the survivors",
                             step_index=index,
                         )
     if not ctx.circuit_rounds:
         return
+    tables = _FaultTables(config, faults, dead_lams, quarantine)
     for index, rounds in sorted(ctx.circuit_rounds.items()):
         for round_no, circuits in enumerate(rounds):
-            for c in circuits:
+            for i in tables.flagged(circuits) if circuits else ():
+                c = circuits[i]
                 direction = c.route.direction
                 who = f"circuit {c.transfer.src} -> {c.transfer.dst}"
                 if c.wavelength in dead_lams:

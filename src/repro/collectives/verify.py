@@ -20,32 +20,68 @@ from __future__ import annotations
 import numpy as np
 
 from repro.check.intervals import Conflict, find_conflicts
-from repro.collectives.base import CommStep, Schedule
+from repro.collectives.base import COPY, SUM, CommStep, Schedule
 
 
 class ScheduleConflictError(ValueError):
     """A step contains order-dependent writes to one destination range."""
 
 
+def _writes_clean(step: CommStep) -> bool:
+    """True iff no ``copy`` overlaps another write to the same destination.
+
+    One sort of the step's non-empty writes by (dst, lo): a write overlaps
+    an earlier one on its destination exactly when that group's running
+    maximum ``hi`` passes its ``lo``, and a ``copy`` takes part in the
+    overlap when it is the later write or holds the copies' running
+    maximum. Each destination group's values are lifted above the previous
+    group's, so one cumulative maximum serves every group. ``False`` means
+    "not proven": a real conflict, or values the lift cannot hold exactly.
+    """
+    dst, lo, hi, op = step.dst, step.lo, step.hi, step.op
+    keep = hi > lo
+    if not keep.all():
+        dst, lo, hi, op = dst[keep], lo[keep], hi[keep], op[keep]
+    if len(dst) < 2:
+        return True
+    order = np.lexsort((lo, dst))
+    dst, lo, hi, copy = dst[order], lo[order], hi[order], op[order] == COPY
+    group = np.concatenate(([0], np.cumsum(dst[1:] != dst[:-1])))
+    span = int(hi.max()) + 1
+    if int(lo.min()) < 0 or (int(group[-1]) + 1) * span >= 1 << 62:
+        return False
+    base = group * span
+    ends = base + hi
+    prev_end = np.maximum.accumulate(ends)[:-1]
+    prev_copy_end = np.maximum.accumulate(np.where(copy, ends, base - 1))[:-1]
+    starts = base[1:] + lo[1:]
+    return not np.any(
+        (copy[1:] & (prev_end > starts)) | (prev_copy_end > starts)
+    )
+
+
 def step_write_conflicts(step: CommStep, first_only: bool = False) -> list[Conflict]:
     """Order-dependent write overlaps within one step.
 
-    Destination writes become interval claims on the destination node
-    (``sum`` writes are combinable, ``copy`` writes exclusive) and run
-    through the shared interval engine — the same analysis the optical
-    circuit validator and the :mod:`repro.check` plan rules use.
+    Every step is first decided by one sort of its write arrays; only a
+    step that test cannot prove clean has its destination writes turned
+    into interval claims on the destination node (``sum`` writes
+    combinable, ``copy`` writes exclusive) and swept by the shared
+    interval engine — the same analysis the optical circuit validator and
+    the :mod:`repro.check` plan rules use. ``sum`` writes are the only
+    combinable claims, so the sweep finds nothing exactly when the sort
+    finds no ``copy`` overlap.
     """
-    return find_conflicts(
-        [c for t in step.transfers if t.n_elems > 0 for c in [t.write_claim()]],
-        first_only=first_only,
-    )
+    if _writes_clean(step):
+        return []
+    return find_conflicts(step.write_claims(), first_only=first_only)
 
 
 def check_step_conflicts(step: CommStep) -> None:
     """Reject steps whose outcome would depend on transfer ordering.
 
-    Thin raising wrapper over :func:`step_write_conflicts` (the shared
-    interval-engine implementation).
+    Thin raising wrapper over :func:`step_write_conflicts` (the sorted
+    gate, then the shared interval engine on a flagged step).
     """
     conflicts = step_write_conflicts(step, first_only=True)
     if conflicts:
@@ -76,16 +112,20 @@ def run_schedule(schedule: Schedule, buffers: np.ndarray, check: bool = True) ->
     for step in schedule.iter_steps():
         if check:
             check_step_conflicts(step)
-        payloads = [
-            (t, buffers[t.src, t.lo : t.hi].copy())
-            for t in step.transfers
-            if t.n_elems > 0
+        rows = [
+            row
+            for row in zip(
+                step.src.tolist(), step.dst.tolist(), step.lo.tolist(),
+                step.hi.tolist(), step.op.tolist(),
+            )
+            if row[3] > row[2]
         ]
-        for t, data in payloads:
-            if t.op == "sum":
-                buffers[t.dst, t.lo : t.hi] += data
+        payloads = [buffers[src, lo:hi].copy() for src, _, lo, hi, _ in rows]
+        for (_, dst, lo, hi, op), data in zip(rows, payloads):
+            if op == SUM:
+                buffers[dst, lo:hi] += data
             else:
-                buffers[t.dst, t.lo : t.hi] = data
+                buffers[dst, lo:hi] = data
     return buffers
 
 

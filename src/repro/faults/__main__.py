@@ -19,7 +19,8 @@ The CI stage behind ``scripts/check.sh``. For one seeded system size it
    MRR — and asserts the repair cascades (``rwa.repair_cascades > 0``) and
    the repaired plan verifies clean. ``--paranoid-repair`` additionally
    cross-checks every individual repair against a from-scratch recolor
-   inside the repair engine.
+   inside the repair engine, which counts a divergence (and keeps the
+   scratch rounds) only where the repair needs more rounds than scratch.
 
 Exit status is non-zero when any check fails, so the stage gates CI.
 """
@@ -226,7 +227,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--paranoid-repair", action="store_true",
         help="cross-check every incremental repair against a from-scratch "
-        "recolor inside the repair engine",
+        "recolor inside the repair engine (a repair needing more rounds "
+        "than scratch is a divergence)",
     )
     args = parser.parse_args(argv)
 

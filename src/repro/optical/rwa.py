@@ -22,9 +22,9 @@ A route's segment set is encoded as an arbitrary-precision integer bitmask
 is a single ``busy & mask == 0`` and taking a channel is ``busy |= mask``.
 This replaces the seed implementation's per-probe numpy fancy indexing and
 is what makes paper-scale sweeps interactive; the seed implementation is
-preserved in :mod:`repro.optical._rwa_reference` and the parity property
-tests assert both produce identical assignments, round structure and
-Random-Fit RNG consumption.
+preserved in ``tests/optical/rwa_reference.py`` and the parity property
+tests assert both produce identical assignments, round structure,
+Random-Fit RNG consumption and DSATUR fault pre-marks.
 
 Incremental repair
 ------------------
@@ -146,6 +146,41 @@ def _allowed_channels(
     ]
 
 
+def fault_bans(
+    routes: Sequence[Route],
+    masks: Sequence[int],
+    allowed: Sequence[tuple[int, int]],
+    route_blocked: Sequence[frozenset[int]] | None = None,
+    preoccupied: Mapping[tuple[Direction, int], int] | None = None,
+) -> np.ndarray:
+    """Which channels fault injection bans for each route.
+
+    Row ``v``, column ``c`` is set when ``allowed[c]``'s wavelength is in
+    route ``v``'s ``route_blocked`` bans (a dead MRR endpoint port) or its
+    (direction, wavelength) ``preoccupied`` span intersects the route's
+    mask (stuck-MRR quarantine). Bans are marked only for the routes that
+    have any, and each span is tested once per (direction, wavelength) key
+    against the route masks.
+    """
+    seen = np.zeros((len(routes), len(allowed)), dtype=bool)
+    if route_blocked is None and not preoccupied:
+        return seen
+    lams = np.array([lam for _fiber, lam in allowed])
+    for v, bans in enumerate(route_blocked or ()):
+        if bans:
+            seen[v] |= np.isin(lams, list(bans))
+    for (direction, lam), span in (preoccupied or {}).items():
+        columns = np.flatnonzero(lams == lam)
+        if columns.size:
+            hit = [
+                v
+                for v, route in enumerate(routes)
+                if route.direction is direction and masks[v] & span
+            ]
+            seen[np.ix_(hit, columns)] = True
+    return seen
+
+
 def dsatur_assign(
     routes: list[Route],
     n_segments: int,
@@ -232,18 +267,11 @@ def dsatur_assign(
 
     colors: dict[int, int] = {}
     # neighbour-color sets as one bool row per vertex; saturation is the
-    # row's True count, tracked incrementally for the heap keys.
-    seen = np.zeros((n, capacity), dtype=bool)
-    # Fault bans are pre-marked as seen WITHOUT contributing to saturation:
-    # a banned color can never be picked (free skips it) yet the selection
-    # order stays bit-identical to the unfaulted run when no bans exist.
-    if route_blocked is not None or preoccupied is not None:
-        pre = preoccupied or {}
-        for v in range(n):
-            bans = route_blocked[v] if route_blocked is not None else frozenset()
-            for c, (_f, lam) in enumerate(allowed):
-                if lam in bans or pre.get((routes[v].direction, lam), 0) & masks[v]:
-                    seen[v, c] = True
+    # row's True count, tracked incrementally for the heap keys. Fault bans
+    # are pre-marked as seen WITHOUT contributing to saturation: a banned
+    # color can never be picked (free skips it) yet the selection order
+    # stays bit-identical to the unfaulted run when no bans exist.
+    seen = fault_bans(routes, masks, allowed, route_blocked, preoccupied)
     sat = [0] * n
     # Lazy max-heap over (saturation, degree, -index) — the seed's exact
     # selection order (the key is a total order, so ties cannot differ).

@@ -22,7 +22,7 @@ returning a half-pinned coloring.
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backend.errors import BackendError
@@ -46,7 +46,7 @@ from repro.optical.repair import (
     validate_rounds,
 )
 from repro.optical.rwa import plan_rounds
-from repro.optical.topology import RingTopology
+from repro.optical.topology import Direction, RingTopology, Route
 from repro.runner.faultsweep import default_fault_scenarios
 
 N, W = 16, 8
@@ -73,8 +73,35 @@ def repair_instances(draw):
     return n, routes, w, blocked_after
 
 
+def _route(direction, first, last):
+    """A route crossing segments ``first..last`` (stepping toward ``last``)."""
+    step = 1 if last >= first else -1
+    return Route(direction, tuple(range(first, last + step, step)))
+
+
+#: A repair that packs tighter than scratch: on a ring of 20 at w=4 with
+#: λ3 blocked, the cached 2-round solution repairs in place (2 rounds)
+#: while a scratch plan_rounds needs 3.
+TIGHTER_THAN_SCRATCH = (
+    20,
+    [
+        _route(Direction.CW, 0, 8), _route(Direction.CW, 0, 8),
+        _route(Direction.CW, 8, 9), _route(Direction.CCW, 0, 0),
+        _route(Direction.CCW, 19, 1), _route(Direction.CCW, 19, 1),
+        _route(Direction.CW, 7, 8), _route(Direction.CW, 0, 0),
+        _route(Direction.CW, 2, 7), _route(Direction.CCW, 19, 1),
+        _route(Direction.CW, 0, 6), _route(Direction.CCW, 19, 1),
+        _route(Direction.CCW, 19, 1), _route(Direction.CCW, 19, 1),
+        _route(Direction.CW, 1, 7), _route(Direction.CW, 0, 8),
+    ],
+    4,
+    frozenset({3}),
+)
+
+
 class TestRepairKernelProperties:
     @given(inst=repair_instances())
+    @example(inst=TIGHTER_THAN_SCRATCH)
     @settings(max_examples=60, deadline=None)
     def test_single_blocked_wavelength_repair_validates(self, inst):
         n, routes, w, blocked = inst
@@ -87,13 +114,29 @@ class TestRepairKernelProperties:
         )
         # Exhaustive re-derivation: coverage, blocked set, disjointness.
         validate_rounds(routes, route_masks(routes), repaired, degraded)
-        # Paranoid mode already replaced any diverging repair with the
-        # scratch recolor; either way round counts must match scratch.
+        # A repair never needs more rounds than scratch, so paranoid mode
+        # keeps it: no divergence, and the repair's own rounds come back.
         scratch = plan_rounds(routes, n, w, blocked=blocked)
-        assert len(repaired) == len(scratch)
+        assert len(repaired) <= len(scratch)
         counters = metrics.snapshot().counters
         assert counters.get("rwa.repair_paranoid_divergence", 0) == 0
         assert counters["rwa.repair_calls"] == 1
+        assert repaired == repair_rounds(solution, routes, degraded)
+
+    def test_tighter_repair_survives_paranoid_mode(self):
+        n, routes, w, blocked = TIGHTER_THAN_SCRATCH
+        solution = capture_solution(
+            routes, plan_rounds(routes, n, w), RwaContext(n_segments=n, n_wavelengths=w)
+        )
+        degraded = RwaContext(n_segments=n, n_wavelengths=w, blocked=blocked)
+        metrics = MetricsRegistry(enabled=True)
+        repaired = repair_rounds(
+            solution, routes, degraded, paranoid=True, metrics=metrics
+        )
+        assert len(solution.rounds) == len(repaired) == 2
+        assert len(plan_rounds(routes, n, w, blocked=blocked)) == 3
+        assert repaired == repair_rounds(solution, routes, degraded)
+        assert metrics.snapshot().counters.get("rwa.repair_paranoid_divergence", 0) == 0
 
     @given(inst=repair_instances())
     @settings(max_examples=30, deadline=None)

@@ -1,14 +1,17 @@
 """Bitmask RWA kernel vs the preserved seed implementation.
 
 The fast path in :mod:`repro.optical.rwa` (integer-bitmask occupancy,
-matmul-built DSATUR conflict graphs, hoisted channel lists) must be
-*semantically invisible*: identical assignments, identical round structure,
-identical RNG stream consumption. These property tests drive both kernels
-over random rings, route sets, strategies, fiber counts and blocked
-wavelengths and assert equality against
-:mod:`repro.optical._rwa_reference` — the seed code kept verbatim.
+matmul-built DSATUR conflict graphs, hoisted channel lists, the array-form
+fault pre-mark) must be *semantically invisible*: identical assignments,
+identical round structure, identical RNG stream consumption, identical
+DSATUR ``seen`` pre-marks. These property tests drive both kernels over
+random rings, route sets, strategies, fiber counts, blocked wavelengths,
+per-route bans and quarantine spans and assert equality against
+``tests/optical/rwa_reference.py`` — the seed code, taught the fault
+keywords.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,22 +19,26 @@ from hypothesis import strategies as st
 import repro.optical.network as network_mod
 from repro.backend.plancache import PlanCache
 from repro.collectives.registry import build_schedule
-from repro.optical._rwa_reference import (
-    assign_wavelengths_reference,
-    dsatur_assign_reference,
-    plan_rounds_reference,
-)
+from repro.faults.models import DeadWavelength, FaultSet, MrrPortFault
 from repro.optical.config import OpticalSystemConfig
 from repro.optical.livesim import LiveOpticalSimulation
 from repro.optical.network import OpticalRingNetwork
 from repro.optical.rwa import (
     RwaInfeasibleError,
+    _route_masks,
     assign_wavelengths,
     dsatur_assign,
+    fault_bans,
     plan_rounds,
 )
-from repro.optical.topology import RingTopology
+from repro.optical.topology import Direction, RingTopology
 from repro.sim.rng import SeededRng
+from tests.optical.rwa_reference import (
+    assign_wavelengths_reference,
+    dsatur_assign_reference,
+    fault_bans_reference,
+    plan_rounds_reference,
+)
 
 
 @st.composite
@@ -60,6 +67,34 @@ def rwa_instances(draw):
         )
     )
     return n, routes, n_wavelengths, fibers, blocked
+
+
+@st.composite
+def faulted_instances(draw):
+    """An :func:`rwa_instances` draw plus fault keywords: per-route
+    wavelength bans (dead MRR endpoint ports, on about a third of the
+    routes) and quarantine spans per (direction, wavelength), mostly a
+    stuck MRR's two adjacent segments, sometimes an arbitrary segment set.
+    Bans and spans each leave a route at least one usable wavelength, so
+    most instances are solvable."""
+    n, routes, w, fibers, blocked = draw(rwa_instances())
+    usable = [lam for lam in range(w) if lam not in blocked]
+    some = st.sets(st.sampled_from(usable), max_size=len(usable) - 1)
+    route_blocked = [
+        frozenset(draw(some)) if draw(st.integers(min_value=0, max_value=2)) == 0
+        else frozenset()
+        for _ in routes
+    ]
+    preoccupied = {}
+    for lam in draw(some):
+        key = (draw(st.sampled_from(list(Direction))), lam)
+        if draw(st.integers(min_value=0, max_value=3)):
+            node = draw(st.integers(min_value=0, max_value=n - 1))
+            span = (1 << node) | (1 << ((node - 1) % n))
+        else:
+            span = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+        preoccupied[key] = span
+    return n, routes, w, fibers, blocked, route_blocked, preoccupied
 
 
 def _same_assignment(ours, ref):
@@ -144,6 +179,83 @@ class TestRoundStructureParity:
         assert ours == ref
 
 
+class TestFaultedParity:
+    """Per-route bans and quarantine spans: the array pre-mark and both
+    assignment paths against the reference's loops."""
+
+    @given(inst=faulted_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_dsatur_seen_premark_identical(self, inst):
+        n, routes, w, fibers, blocked, route_blocked, preoccupied = inst
+        allowed = [
+            (f, lam) for f in range(fibers) for lam in range(w) if lam not in blocked
+        ]
+        ours = fault_bans(routes, _route_masks(routes), allowed, route_blocked, preoccupied)
+        ref = fault_bans_reference(routes, allowed, route_blocked, preoccupied)
+        assert ours.dtype == ref.dtype and np.array_equal(ours, ref)
+        # Each keyword alone, and neither (nothing is banned).
+        for kwargs in ({"route_blocked": route_blocked}, {"preoccupied": preoccupied}, {}):
+            assert np.array_equal(
+                fault_bans(routes, _route_masks(routes), allowed, **kwargs),
+                fault_bans_reference(routes, allowed, **kwargs),
+            )
+
+    @given(inst=faulted_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_dsatur_identical(self, inst):
+        n, routes, w, fibers, blocked, route_blocked, preoccupied = inst
+        kwargs = dict(
+            fibers_per_direction=fibers, blocked=blocked,
+            route_blocked=route_blocked, preoccupied=preoccupied,
+        )
+        ours = dsatur_assign(routes, n, w, **kwargs)
+        ref = dsatur_assign_reference(routes, n, w, **kwargs)
+        if ref is None:
+            assert ours is None
+        else:
+            assert ours is not None
+            _same_assignment(ours, ref)
+
+    @given(inst=faulted_instances(), seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_single_round_identical(self, inst, seed):
+        n, routes, w, fibers, blocked, route_blocked, preoccupied = inst
+        kwargs = dict(
+            fibers_per_direction=fibers, blocked=blocked,
+            route_blocked=route_blocked, preoccupied=preoccupied,
+        )
+        _same_assignment(
+            assign_wavelengths(routes, n, w, **kwargs),
+            assign_wavelengths_reference(routes, n, w, **kwargs),
+        )
+        rng_ours, rng_ref = SeededRng(seed), SeededRng(seed)
+        _same_assignment(
+            assign_wavelengths(routes, n, w, strategy="random_fit", rng=rng_ours, **kwargs),
+            assign_wavelengths_reference(
+                routes, n, w, strategy="random_fit", rng=rng_ref, **kwargs
+            ),
+        )
+        assert rng_ours.integers(0, 2**30) == rng_ref.integers(0, 2**30)
+
+    @given(inst=faulted_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_plan_rounds_identical(self, inst):
+        n, routes, w, fibers, blocked, route_blocked, preoccupied = inst
+        kwargs = dict(
+            fibers_per_direction=fibers, blocked=blocked,
+            route_blocked=route_blocked, preoccupied=preoccupied,
+        )
+        try:
+            ours = plan_rounds(routes, n, w, **kwargs)
+        except RwaInfeasibleError:
+            # A route whose every channel is banned or quarantined can
+            # never be placed; the seed kernel stops on it too.
+            with pytest.raises(RuntimeError):
+                plan_rounds_reference(routes, n, w, **kwargs)
+            return
+        assert ours == plan_rounds_reference(routes, n, w, **kwargs)
+
+
 class TestInfeasible:
     def test_fully_blocked_raises_typed_error(self):
         topo = RingTopology(8)
@@ -190,15 +302,41 @@ class TestNetworkSwap:
         monkeypatch.setattr(network_mod, "plan_rounds", plan_rounds_reference)
         assert lowered() == fast
 
-    def test_faulted_keywords_rejected(self):
-        topo = RingTopology(8)
-        routes = [topo.cw_route(0, 2)]
-        with pytest.raises(ValueError, match="per-route"):
-            plan_rounds_reference(routes, 8, 4, route_blocked=[frozenset({1})])
-        with pytest.raises(ValueError, match="pre-occupied"):
-            plan_rounds_reference(
-                routes, 8, 4, preoccupied={(routes[0].direction, 0): 0b10}
-            )
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            FaultSet.of(MrrPortFault(node=3, wavelength=1, mode="stuck")),
+            FaultSet.of(
+                MrrPortFault(node=5, wavelength=0, mode="dead"),
+                MrrPortFault(node=9, wavelength=1, mode="dead", direction="ccw"),
+            ),
+            FaultSet.of(
+                DeadWavelength(1),
+                MrrPortFault(node=2, wavelength=0, mode="stuck", direction="cw"),
+                MrrPortFault(node=7, wavelength=2, mode="dead"),
+            ),
+        ],
+        ids=["stuck-mrr", "dead-ports", "mixed"],
+    )
+    @pytest.mark.parametrize("algo", ["wrht", "rd", "swing"])
+    def test_faulted_cell_lowers_to_same_rounds(self, algo, faults, monkeypatch):
+        """Quarantine spans and dead-port bans thread through both kernels:
+        a faulted network prices the same rounds with the reference in."""
+        cfg = OpticalSystemConfig(n_nodes=16, n_wavelengths=4, faults=faults)
+        kwargs = {"n_wavelengths": 4} if algo == "wrht" else {}
+        sched = build_schedule(algo, 16, 1600, **kwargs)
+
+        def lowered():
+            net = OpticalRingNetwork(cfg, plan_cache=PlanCache(maxsize=0))
+            rounds = [
+                net.plan_step_rounds(step, 4.0)
+                for step, _, _ in sched.lowering_profile()
+            ]
+            return rounds, net.lower(sched).entries
+
+        fast = lowered()
+        monkeypatch.setattr(network_mod, "plan_rounds", plan_rounds_reference)
+        assert lowered() == fast
 
     def test_healthy_keywords_accepted(self):
         topo = RingTopology(8)
